@@ -1,5 +1,13 @@
 """Superselection-compliant entanglement between fermionic orbitals."""
 
+import os as _os
+
+# BLAS and OpenMP read their thread counts once, when numpy loads them, so
+# ORBENT_NUM_THREADS is applied here, before any submodule imports numpy.
+if _os.environ.get("ORBENT_NUM_THREADS"):
+    for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ[_name] = _os.environ["ORBENT_NUM_THREADS"]
+
 from .entanglement import (
     EntanglementResult,
     SectorSpectrum,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -34,17 +33,9 @@ EXIT_DEGENERATE_SECTOR = 4
 _RULE_ALIASES = {"n": "number", "number": "number", "p": "parity", "parity": "parity"}
 
 
-def _limit_threads() -> None:
-    value = os.environ.get("ORBENT_NUM_THREADS")
-    if not value:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=int(value))
-    except ImportError:
-        for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[name] = value
+def _rule(args: argparse.Namespace) -> str:
+    """Rule named by ``--ssr``; ``args.ssr`` stays raw for the config echo."""
+    return _RULE_ALIASES[args.ssr.lower()]
 
 
 def _fmt(x: float) -> str:
@@ -112,36 +103,27 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _aux_values(result: entanglement.EntanglementResult) -> dict:
-    aux = {"r": None, "t": None, "r_prime": None, "t_prime": None}
-    details = result.details
-    if "r" in details:
-        aux["r"], aux["t"] = details["r"], details["t"]
-    spin = details.get("spin_sector", {})
-    if "r" in spin:
-        aux["r"], aux["t"] = spin["r"], spin["t"]
-    pair = details.get("pair_sector", {})
-    if "r" in pair:
-        aux["r_prime"], aux["t_prime"] = pair["r"], pair["t"]
-    return aux
+    """Linear-solution ``r, t`` of the spin sector and ``r', t'`` of the pair sector."""
+    spin = result.details.get("spin_sector", result.details)
+    pair = result.details.get("pair_sector", {})
+    return {"r": spin.get("r"), "t": spin.get("t"),
+            "r_prime": pair.get("r"), "t_prime": pair.get("t")}
 
 
 def cmd_formula(args: argparse.Namespace) -> int:
     state = stateio.load_state(args.input)
-    rule = _RULE_ALIASES[args.ssr.lower()]
     units, scale = _unit_scale(args)
     result = entanglement.orbital_entanglement(
-        state, rule, tol=args.tol, twirl_coherence=args.twirl_coherence,
+        state, _rule(args), tol=args.tol, twirl_coherence=args.twirl_coherence,
         fallback_oracle=False,
     )
-    projected = ssr.nssr_project(state) if rule == "number" else ssr.pssr_project(state)
-    spectrum = entanglement.sector_spectrum(projected, result.basis_variant)
     payload = {
         f"value_{units}": result.value * scale,
         "units": units,
         "variant": result.variant.value if result.variant else None,
         "method": result.method,
         "coherence_twirled": result.coherence_twirled,
-        "p": spectrum.weights.tolist(),
+        "p": result.weights.tolist(),
         "q_star": result.closest_weights.tolist(),
     }
     payload.update(_aux_values(result))
@@ -161,12 +143,11 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_VARIANT_RULES = {"singlet": "number", "general": "number", "parity": "parity"}
-_VARIANT_DRAW = {"singlet": "singlet", "general": "general", "parity": "parity-general"}
-_VARIANT_FORMULA = {
-    "singlet": entanglement.nssr_entanglement_singlet,
-    "general": entanglement.nssr_entanglement_general,
-    "parity": entanglement.pssr_entanglement,
+#: ``oracle-verify --variant`` -> (random spectrum kind, rule, closed formula).
+_VARIANTS = {
+    "singlet": ("singlet", "number", entanglement.nssr_entanglement_singlet),
+    "general": ("general", "number", entanglement.nssr_entanglement_general),
+    "parity": ("parity-general", "parity", entanglement.pssr_entanglement),
 }
 
 
@@ -175,16 +156,17 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
     if args.input:
         return _oracle_verify_file(args, units, scale)
     rng = np.random.default_rng(args.seed)
-    variants = ("singlet", "general", "parity") if args.variant == "all" else (args.variant,)
+    variants = tuple(_VARIANTS) if args.variant == "all" else (args.variant,)
     report = {}
     overall = 0.0
     for variant in variants:
+        kind, rule, closed_formula = _VARIANTS[variant]
         deltas = np.empty(args.n)
         for k in range(args.n):
-            weights = sampling.random_weights(rng, _VARIANT_DRAW[variant])
-            spectrum = entanglement.SectorSpectrum(weights, variant=_VARIANT_RULES[variant])
-            formula = _VARIANT_FORMULA[variant](spectrum)
-            problem = oracle.ConstrainedSimplexProblem(weights, _VARIANT_RULES[variant])
+            weights = sampling.random_weights(rng, kind)
+            spectrum = entanglement.SectorSpectrum(weights, variant=rule)
+            formula = closed_formula(spectrum)
+            problem = oracle.ConstrainedSimplexProblem(weights, rule)
             solution = oracle.kl_min_oracle(problem)
             deltas[k] = abs(formula.value - solution.value)
         report[variant] = {
@@ -201,9 +183,8 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
 
 def _oracle_verify_file(args: argparse.Namespace, units: str, scale: float) -> int:
     state = stateio.load_state(args.input)
-    rule = _RULE_ALIASES[args.ssr.lower()]
-    projected = ssr.nssr_project(state) if rule == "number" else ssr.pssr_project(state)
-    spectrum = entanglement.sector_spectrum(projected, rule)
+    rule = _rule(args)
+    spectrum = entanglement.sector_spectrum(ssr.project(state, rule), rule)
     problem = oracle.ConstrainedSimplexProblem(spectrum.weights, rule)
     solution = oracle.kl_min_oracle(problem)
     payload = {
@@ -277,7 +258,7 @@ def cmd_dimer(args: argparse.Namespace) -> int:
 def cmd_seniority(args: argparse.Namespace) -> int:
     units, scale = _unit_scale(args)
     rdms = [stateio.load_state(path) for path in args.inputs]
-    cost = entanglement.seniority_cost(rdms, rule=_RULE_ALIASES[args.ssr.lower()], tol=args.tol)
+    cost = entanglement.seniority_cost(rdms, rule=_rule(args), tol=args.tol)
     _emit_json(args, {
         "units": units,
         f"total_{units}": cost.total * scale,
@@ -324,8 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", default=None,
                    help="optional density matrix JSON file (default: random batch)")
     p.add_argument("--n", type=int, default=1000, help="random spectra per variant")
-    p.add_argument("--variant", default="all",
-                   choices=("all", "singlet", "general", "parity"))
+    p.add_argument("--variant", default="all", choices=("all", *_VARIANTS))
     p.add_argument("--ssr", default="number", choices=sorted(_RULE_ALIASES),
                    help="superselection rule for file mode")
     p.add_argument("--threshold", type=float, default=1e-6,
@@ -370,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _limit_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -10,6 +10,7 @@ lives in :mod:`orbent.oracle`.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -71,7 +72,11 @@ class SectorSpectrum:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (fock.DIM,):
             raise ValueError("expected 16 sector weights")
-        if abs(w.sum() - 1.0) > 1e-10:
+        total = w.sum()  # non-finite if any weight is
+        if not (math.isfinite(total) and cmath.isfinite(self.spin_coherence)
+                and cmath.isfinite(self.pair_coherence)):
+            raise ValueError("sector weights and coherences must be finite")
+        if abs(total - 1.0) > 1e-10:
             raise ValueError("sector weights must sum to one")
         if w.min() < -1e-12:
             raise ValueError("sector weights must be nonnegative")
@@ -97,18 +102,26 @@ def sector_spectrum(state: TwoOrbitalState, basis: SymmetryEigenbasis | str = "n
     return SectorSpectrum(weights, b, b_pair, basis.variant)
 
 
+#: Constrained sectors by name, as weight indices in (x, y | u, v) order.
+_SECTORS = {"spin": fock.SPIN_SECTOR, "pair": fock.PAIR_SECTOR}
+
+
+def _sector_separable(x: float, y: float, u: float, v: float) -> bool:
+    """Separability of a two-qubit sector with coherence pair ``(x, y)`` and
+    product pair ``(u, v)``."""
+    if min(x, y, u, v) < -1e-12:
+        raise ValueError("sector weights must be nonnegative")
+    return u * v >= ((x - y) / 2.0) ** 2
+
+
 def is_spin_sector_separable(w_singlet: float, w_triplet0: float, w_up: float, w_dn: float) -> bool:
     """Separability of the single-occupancy sector of a symmetric state."""
-    if min(w_singlet, w_triplet0, w_up, w_dn) < -1e-12:
-        raise ValueError("sector weights must be nonnegative")
-    return w_up * w_dn >= ((w_singlet - w_triplet0) / 2.0) ** 2
+    return _sector_separable(w_singlet, w_triplet0, w_up, w_dn)
 
 
 def is_pair_sector_separable(w_vacuum: float, w_pair_a: float, w_pair_b: float, w_full: float) -> bool:
     """Separability of the even-parity corner sector (parity-basis weights)."""
-    if min(w_vacuum, w_pair_a, w_pair_b, w_full) < -1e-12:
-        raise ValueError("sector weights must be nonnegative")
-    return w_vacuum * w_full >= ((w_pair_a - w_pair_b) / 2.0) ** 2
+    return _sector_separable(w_pair_a, w_pair_b, w_vacuum, w_full)
 
 
 def _kl_terms(p: tuple[float, ...], q: tuple[float, ...]) -> float:
@@ -148,7 +161,7 @@ def _linear_sector_solution(x: float, y: float, u: float, v: float):
 def _general_sector_solution(x: float, y: float, u: float, v: float,
                              degenerate_tol: float = DEGENERATE_TOL):
     """Closest-sector solution for unbalanced product weights (full rank)."""
-    if u * v >= ((x - y) / 2.0) ** 2:
+    if _sector_separable(x, y, u, v):
         return 0.0, (x, y, u, v), {"separable": True}
     if min(x, y, u, v) < degenerate_tol:
         raise DegenerateSectorError(
@@ -177,12 +190,14 @@ def _general_sector_solution(x: float, y: float, u: float, v: float,
 
 @dataclass(frozen=True)
 class EntanglementResult:
-    """Entanglement value in nats plus the closest separable weights."""
+    """Entanglement value in nats, the closest separable weights and the sector
+    weights they were computed from, both in the ``basis_variant`` basis."""
 
     value: float
     variant: FormulaVariant | None
     closest_weights: np.ndarray
     basis_variant: str
+    weights: np.ndarray
     method: str = "closed-form"
     details: dict = field(default_factory=dict)
     coherence_twirled: bool = False
@@ -224,6 +239,42 @@ def _check_coherences(spectrum: SectorSpectrum, tol: float, twirl_coherence: boo
     return twirled
 
 
+def _closed_form(spectrum: SectorSpectrum, variant: FormulaVariant, solvers: dict,
+                 tol: float, twirl_coherence: bool) -> EntanglementResult:
+    """Solve each constrained sector of a spectrum with its closed solution.
+
+    ``solvers`` maps a sector name to its solution; weights outside those
+    sectors are their own closest separable weights.  A doublon coherence
+    outside the solved sectors must vanish.  Number-rule results carry the
+    spin sector's details, parity-rule results one entry per sector.
+    """
+    if "pair" not in solvers and abs(spectrum.pair_coherence) > tol:
+        raise InsufficientSymmetryError(
+            "doublon coherence present; apply the number-rule projection first"
+        )
+    twirled = _check_coherences(spectrum, tol, twirl_coherence, tuple(solvers))
+    p = spectrum.weights
+    q = p.copy()
+    value = 0.0
+    details = {}
+    for name, solve in solvers.items():
+        x, y, u, v = _SECTORS[name]
+        sector_value, (q[x], q[y], q[u], q[v]), details[name + "_sector"] = solve(
+            p[x], p[y], p[u], p[v])
+        value += sector_value
+    if spectrum.variant == "number":
+        details = details["spin_sector"]
+    return EntanglementResult(
+        value=value,
+        variant=variant,
+        closest_weights=q,
+        basis_variant=spectrum.variant,
+        weights=p,
+        details=details,
+        coherence_twirled=twirled,
+    )
+
+
 def nssr_entanglement_singlet(spectrum: SectorSpectrum, tol: float = ssr.DETECTION_TOL,
                               twirl_coherence: bool = False) -> EntanglementResult:
     """Number-rule entanglement for balanced triplet weights.
@@ -238,24 +289,8 @@ def nssr_entanglement_singlet(spectrum: SectorSpectrum, tol: float = ssr.DETECTI
         raise InsufficientSymmetryError(
             "triplet weights are unbalanced; use the general formula"
         )
-    if abs(spectrum.pair_coherence) > tol:
-        raise InsufficientSymmetryError(
-            "doublon coherence present; apply the number-rule projection first"
-        )
-    twirled = _check_coherences(spectrum, tol, twirl_coherence, ("spin",))
-    value, q_sector, details = _linear_sector_solution(
-        p[SINGLET], p[TRIPLET_ZERO], p[TRIPLET_UP], p[TRIPLET_DOWN]
-    )
-    q = p.copy()
-    q[[SINGLET, TRIPLET_ZERO, TRIPLET_UP, TRIPLET_DOWN]] = q_sector
-    return EntanglementResult(
-        value=value,
-        variant=FormulaVariant.NSSR_SINGLET,
-        closest_weights=q,
-        basis_variant="number",
-        details=details,
-        coherence_twirled=twirled,
-    )
+    return _closed_form(spectrum, FormulaVariant.NSSR_SINGLET,
+                        {"spin": _linear_sector_solution}, tol, twirl_coherence)
 
 
 def nssr_entanglement_general(spectrum: SectorSpectrum, tol: float = ssr.DETECTION_TOL,
@@ -269,25 +304,8 @@ def nssr_entanglement_general(spectrum: SectorSpectrum, tol: float = ssr.DETECTI
     """
     if spectrum.variant != "number":
         raise ValueError("number-rule formula needs a number-variant spectrum")
-    p = spectrum.weights
-    if abs(spectrum.pair_coherence) > tol:
-        raise InsufficientSymmetryError(
-            "doublon coherence present; apply the number-rule projection first"
-        )
-    twirled = _check_coherences(spectrum, tol, twirl_coherence, ("spin",))
-    value, q_sector, details = _general_sector_solution(
-        p[SINGLET], p[TRIPLET_ZERO], p[TRIPLET_UP], p[TRIPLET_DOWN]
-    )
-    q = p.copy()
-    q[[SINGLET, TRIPLET_ZERO, TRIPLET_UP, TRIPLET_DOWN]] = q_sector
-    return EntanglementResult(
-        value=value,
-        variant=FormulaVariant.NSSR_GENERAL,
-        closest_weights=q,
-        basis_variant="number",
-        details=details,
-        coherence_twirled=twirled,
-    )
+    return _closed_form(spectrum, FormulaVariant.NSSR_GENERAL,
+                        {"spin": _general_sector_solution}, tol, twirl_coherence)
 
 
 def pssr_entanglement(spectrum: SectorSpectrum, tol: float = ssr.DETECTION_TOL,
@@ -303,45 +321,18 @@ def pssr_entanglement(spectrum: SectorSpectrum, tol: float = ssr.DETECTION_TOL,
     if spectrum.variant != "parity":
         raise ValueError("parity-rule formula needs a parity-variant spectrum")
     p = spectrum.weights
-    twirled = _check_coherences(spectrum, tol, twirl_coherence, ("spin", "pair"))
-
     spin_balanced = abs(p[TRIPLET_UP] - p[TRIPLET_DOWN]) <= tol
-    if spin_balanced:
-        value_m, q_m, det_m = _linear_sector_solution(
-            p[SINGLET], p[TRIPLET_ZERO], p[TRIPLET_UP], p[TRIPLET_DOWN]
-        )
-    else:
-        value_m, q_m, det_m = _general_sector_solution(
-            p[SINGLET], p[TRIPLET_ZERO], p[TRIPLET_UP], p[TRIPLET_DOWN]
-        )
-
     pair_balanced = abs(p[VACUUM] - p[FULL]) <= tol
-    if pair_balanced:
-        value_mp, q_mp, det_mp = _linear_sector_solution(
-            p[DOUBLE_A], p[DOUBLE_B], p[VACUUM], p[FULL]
-        )
-    else:
-        value_mp, q_mp, det_mp = _general_sector_solution(
-            p[DOUBLE_A], p[DOUBLE_B], p[VACUUM], p[FULL]
-        )
-
-    q = p.copy()
-    q[[SINGLET, TRIPLET_ZERO, TRIPLET_UP, TRIPLET_DOWN]] = q_m
-    q[[DOUBLE_A, DOUBLE_B, VACUUM, FULL]] = q_mp
     variant = (
         FormulaVariant.PSSR_SYMMETRIC
         if spin_balanced and pair_balanced
         else FormulaVariant.PSSR_GENERAL
     )
-    details = {"spin_sector": det_m, "pair_sector": det_mp}
-    return EntanglementResult(
-        value=value_m + value_mp,
-        variant=variant,
-        closest_weights=q,
-        basis_variant="parity",
-        details=details,
-        coherence_twirled=twirled,
-    )
+    solvers = {
+        sector: _linear_sector_solution if balanced else _general_sector_solution
+        for sector, balanced in (("spin", spin_balanced), ("pair", pair_balanced))
+    }
+    return _closed_form(spectrum, variant, solvers, tol, twirl_coherence)
 
 
 _FORMULA_DISPATCH = {
@@ -359,14 +350,6 @@ def entanglement_from_spectrum(spectrum: SectorSpectrum, variant: FormulaVariant
     return _FORMULA_DISPATCH[variant](spectrum, tol=tol, twirl_coherence=twirl_coherence)
 
 
-def _project(state: TwoOrbitalState, which: str) -> TwoOrbitalState:
-    if which == "number":
-        return ssr.nssr_project(state)
-    if which == "parity":
-        return ssr.pssr_project(state)
-    raise ValueError(f"unknown superselection rule {which!r}")
-
-
 def orbital_entanglement(state: TwoOrbitalState, rule: str = "number",
                          tol: float = ssr.DETECTION_TOL,
                          twirl_coherence: bool = False,
@@ -379,16 +362,18 @@ def orbital_entanglement(state: TwoOrbitalState, rule: str = "number",
     ``fallback_oracle`` is disabled; missing symmetries always raise
     :class:`InsufficientSymmetryError`.
     """
-    projected = _project(state, rule)
+    projected = ssr.project(state, rule)
     off_diagonal = projected.matrix - np.diag(np.diag(projected.matrix))
     if np.abs(off_diagonal).max() <= tol:
         # occupation-diagonal states are classical mixtures of products:
         # unentangled, and their own closest separable state
+        weights = sector_spectrum(projected, "number").weights
         return EntanglementResult(
             value=0.0,
             variant=None,
-            closest_weights=sector_spectrum(projected, "number").weights,
+            closest_weights=weights,
             basis_variant="number",
+            weights=weights,
             method="classical-mixture",
         )
     report = ssr.detect_symmetries(projected, tol)
@@ -407,6 +392,7 @@ def orbital_entanglement(state: TwoOrbitalState, rule: str = "number",
             variant=None,
             closest_weights=solution.weights,
             basis_variant=variant.ssr,
+            weights=spectrum.weights,
             method="oracle",
             details={
                 "selected_variant": variant.value,
@@ -423,7 +409,7 @@ def closest_separable_state(state: TwoOrbitalState, rule: str = "number",
     result = orbital_entanglement(state, rule, tol=tol,
                                   twirl_coherence=twirl_coherence)
     if result.method == "classical-mixture":
-        return _project(state, rule)
+        return ssr.project(state, rule)
     basis = fock.build_symmetry_basis(result.basis_variant)
     v = basis.vectors
     sigma = (v * result.closest_weights) @ v.conj().T

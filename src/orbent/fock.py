@@ -72,7 +72,6 @@ DIM = 16
 #: Occupations (n_up, n_down) of the four local orbital states, in basis order.
 LOCAL_OCCUPATIONS = ((0, 0), (1, 0), (0, 1), (1, 1))
 _LOCAL_INDEX = {occ: i for i, occ in enumerate(LOCAL_OCCUPATIONS)}
-LOCAL_LABELS = ("0", "↑", "↓", "↑↓")
 
 # Indices of the symmetry eigenbasis vectors, named by their physical content.
 VACUUM = 0
@@ -84,10 +83,12 @@ TRIPLET_UP = 9
 TRIPLET_DOWN = 10
 FULL = 15
 
-#: Single-occupancy sector hosting all spin entanglement (two-qubit block).
+# The two constrained two-qubit sectors, each ordered as (coherence pair x, y |
+# product pair u, v) with separability boundary u v >= ((x - y)/2)^2.
+#: Single-occupancy sector hosting all spin entanglement.
 SPIN_SECTOR = (SINGLET, TRIPLET_ZERO, TRIPLET_UP, TRIPLET_DOWN)
 #: Even-parity corner sector hosting pair (doublon) entanglement.
-PAIR_SECTOR = (VACUUM, DOUBLE_A, DOUBLE_B, FULL)
+PAIR_SECTOR = (DOUBLE_A, DOUBLE_B, VACUUM, FULL)
 
 
 @lru_cache(maxsize=None)
@@ -203,9 +204,11 @@ def build_operator(tag: str) -> np.ndarray:
 class TwoOrbitalState:
     """Density matrix of two fermionic orbitals in the fixed product basis.
 
-    The matrix must be Hermitian (entrywise within 1e-12), positive
-    semidefinite (eigenvalues above -1e-10) and unit trace (within 1e-12).
-    Instances are immutable and safe to share across threads.
+    The matrix must be finite, Hermitian (entrywise within 1e-12), positive
+    semidefinite (eigenvalues above -1e-10) and unit trace (within 1e-12);
+    ``validate=False`` skips these checks for matrices valid by construction,
+    such as pinchings of a validated state.  Instances are immutable and safe
+    to share across threads.
     """
 
     matrix: np.ndarray
@@ -216,6 +219,8 @@ class TwoOrbitalState:
         if m.shape != (DIM, DIM):
             raise ValueError(f"expected a {DIM}x{DIM} matrix, got {m.shape}")
         if self.validate:
+            if not np.isfinite(m).all():
+                raise ValueError("matrix has non-finite entries")
             if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
                 raise ValueError("matrix is not Hermitian within tolerance")
             if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:

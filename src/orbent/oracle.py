@@ -20,17 +20,7 @@ from scipy.optimize import brentq
 
 from . import fock
 from .errors import OracleConvergenceError
-from .fock import (
-    DOUBLE_A,
-    DOUBLE_B,
-    FULL,
-    SINGLET,
-    TRIPLET_DOWN,
-    TRIPLET_UP,
-    TRIPLET_ZERO,
-    VACUUM,
-    TwoOrbitalState,
-)
+from .fock import TwoOrbitalState
 
 __all__ = [
     "ConstrainedSimplexProblem",
@@ -42,11 +32,6 @@ __all__ = [
 
 FEASIBILITY_TOL = 1e-12
 STATIONARITY_TOL = 1e-9
-
-#: Weight indices of the two constrained sectors, ordered as
-#: (coherence pair x, y | product pair u, v) with boundary u v = ((x-y)/2)^2.
-SPIN_SECTOR_ROLES = (SINGLET, TRIPLET_ZERO, TRIPLET_UP, TRIPLET_DOWN)
-PAIR_SECTOR_ROLES = (DOUBLE_A, DOUBLE_B, VACUUM, FULL)
 
 
 @dataclass(frozen=True)
@@ -66,7 +51,10 @@ class ConstrainedSimplexProblem:
         p = np.asarray(self.target, dtype=float)
         if p.shape != (fock.DIM,):
             raise ValueError("expected 16 target weights")
-        if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-10:
+        total = p.sum()  # non-finite if any weight is
+        if not math.isfinite(total):
+            raise ValueError("target weights must be finite")
+        if p.min() < -1e-12 or abs(total - 1.0) > 1e-10:
             raise ValueError("target must be a probability vector")
         p = np.clip(p, 0.0, None)
         p.setflags(write=False)
@@ -77,8 +65,8 @@ class ConstrainedSimplexProblem:
     @property
     def sectors(self) -> tuple[tuple[int, int, int, int], ...]:
         if self.rule == "number":
-            return (SPIN_SECTOR_ROLES,)
-        return (SPIN_SECTOR_ROLES, PAIR_SECTOR_ROLES)
+            return (fock.SPIN_SECTOR,)
+        return (fock.SPIN_SECTOR, fock.PAIR_SECTOR)
 
 
 @dataclass(frozen=True)
@@ -87,14 +75,6 @@ class OracleSolution:
     weights: np.ndarray
     feasibility_residual: float
     stationarity_residual: float
-
-
-def _sector_kl(p, q) -> float:
-    total = 0.0
-    for pi, qi in zip(p, q):
-        if pi > 0.0:
-            total += pi * math.log(pi / qi)
-    return total
 
 
 def _kkt_residual(p, q, mu) -> float:
@@ -118,6 +98,32 @@ def _kkt_residual(p, q, mu) -> float:
         else:
             resid = max(resid, max(0.0, -term))
     return resid
+
+
+def _solve_near_corner(a: float, b: float, c: float, d: float):
+    """Full-path solve for a root within rounding of ``m = -1``, in ``e = 1 + m``.
+
+    With ``s = a + b`` and the symmetric point ``e_low = 2b/s``, stationarity
+    reads ``2 e (2-e) w = s (e - e_low)`` and the boundary
+    ``e (2-e) w^2 = (1-e)(c+d) w + c d``; their difference increases in ``e``
+    and changes sign on ``[e_low, 1]``.  Returns the frame weights and ``mu``.
+    """
+    s = a + b
+    e_low = 2.0 * b / s
+
+    def excess(e: float) -> float:
+        k = (1.0 - e) * (c + d)
+        return s * (e - e_low) - k - math.sqrt(k * k + 4.0 * e * (2.0 - e) * c * d)
+
+    if not excess(1.0) > 0.0:
+        raise OracleConvergenceError("could not bracket the shifted sector multiplier")
+    e = brentq(excess, e_low, 1.0, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+    qx = a / (2.0 - e)
+    # the certificate reads w from the stored q_x, q_y: below their
+    # resolution, keep the smallest representable split
+    qy = min(b / e if b > 0.0 else 0.0, float(np.nextafter(qx, 0.0)))
+    w = (qx - qy) / 2.0
+    return (qx, qy, c + (1.0 - e) * w, d + (1.0 - e) * w), (e - 1.0) / w
 
 
 def _solve_constrained_sector(p4) -> tuple[tuple[float, float, float, float], float]:
@@ -167,21 +173,26 @@ def _solve_constrained_sector(p4) -> tuple[tuple[float, float, float, float], fl
             return (c - m * w) * (d - m * w) - w * w
 
         m_low = -(a - b) / (a + b) if b > 0.0 else -1.0
-        gap_low = boundary_gap(m_low)
-        gap_high = boundary_gap(0.0)
-        if not (gap_low > 0.0 > gap_high):
-            raise OracleConvergenceError(
-                f"could not bracket the sector multiplier: gaps ({gap_low:.3e}, {gap_high:.3e})"
+        # Rounding-level weights round 1 + m_low or the gap at m_low to zero;
+        # their root lies within rounding of m = -1 and is solved in e = 1 + m.
+        gap_low = boundary_gap(m_low) if b == 0.0 or m_low > -1.0 else 0.0
+        if gap_low > 0.0:
+            gap_high = boundary_gap(0.0)
+            if not gap_high < 0.0:
+                raise OracleConvergenceError(
+                    f"could not bracket the sector multiplier: gaps ({gap_low:.3e}, {gap_high:.3e})"
+                )
+            m_star = brentq(boundary_gap, m_low, 0.0, xtol=1e-16, rtol=8.9e-16, maxiter=200)
+            w = w_of(m_star)
+            q_frame = (
+                a / (1.0 - m_star),
+                b / (1.0 + m_star) if b > 0.0 else 0.0,
+                c - m_star * w,
+                d - m_star * w,
             )
-        m_star = brentq(boundary_gap, m_low, 0.0, xtol=1e-16, rtol=8.9e-16, maxiter=200)
-        w = w_of(m_star)
-        q_frame = (
-            a / (1.0 - m_star),
-            b / (1.0 + m_star) if b > 0.0 else 0.0,
-            c - m_star * w,
-            d - m_star * w,
-        )
-        mu = m_star / w
+            mu = m_star / w
+        else:
+            q_frame, mu = _solve_near_corner(a, b, c, d)
         resid = _kkt_residual((a, b, c, d), q_frame, mu)
 
     qx, qy, qu, qv = q_frame
@@ -198,8 +209,9 @@ def kl_min_oracle(problem: ConstrainedSimplexProblem) -> OracleSolution:
     Exploits sector independence: outside the constrained sectors the optimum
     copies the target weights; each constrained sector is solved on its own
     mass shell.  The solution is certified by its feasibility and
-    stationarity residuals; certification failure raises, never returning a
-    silent wrong answer.
+    stationarity residuals and by a positive weight wherever the target is
+    positive (a finite value); certification failure raises, never returning
+    a silent wrong answer.
     """
     p = problem.target
     q = p.copy()
@@ -207,7 +219,11 @@ def kl_min_oracle(problem: ConstrainedSimplexProblem) -> OracleSolution:
     for roles in problem.sectors:
         p4 = tuple(float(p[i]) for i in roles)
         q4, resid = _solve_constrained_sector(p4)
-        for i, qi in zip(roles, q4):
+        for i, pi, qi in zip(roles, p4, q4):
+            if pi > 0.0 and not qi > 0.0:
+                raise OracleConvergenceError(
+                    "solution not certified: zero weight where the target is positive"
+                )
             q[i] = qi
         stationarity = max(stationarity, resid)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import fock, ssr
-from .fock import DOUBLE_A, DOUBLE_B, FULL, TRIPLET_DOWN, TRIPLET_UP, VACUUM, TwoOrbitalState
+from .fock import FULL, TRIPLET_DOWN, TRIPLET_UP, VACUUM, TwoOrbitalState
 
 __all__ = [
     "random_weights",
@@ -18,9 +18,6 @@ __all__ = [
     "random_separable_symmetric_state",
     "random_singlet_vector",
 ]
-
-_SPIN = (fock.SINGLET, fock.TRIPLET_ZERO, TRIPLET_UP, TRIPLET_DOWN)
-_PAIR = (VACUUM, DOUBLE_A, DOUBLE_B, FULL)
 
 
 def random_weights(rng: np.random.Generator, variant: str = "general",
@@ -46,7 +43,7 @@ def random_weights(rng: np.random.Generator, variant: str = "general",
                 p[pair[0]] = p[pair[1]] = balance
             p /= p.sum()
             return p
-        needed = _SPIN if variant == "general" else _SPIN + _PAIR
+        needed = fock.SPIN_SECTOR + (() if variant == "general" else fock.PAIR_SECTOR)
         if min(p[list(needed)]) >= full_rank_floor:
             return p
     raise RuntimeError("failed to draw a full-rank spectrum")

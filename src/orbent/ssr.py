@@ -25,6 +25,7 @@ __all__ = [
     "SymmetryReport",
     "nssr_project",
     "pssr_project",
+    "project",
     "twirl",
     "detect_symmetries",
     "select_formula",
@@ -49,24 +50,27 @@ class FormulaVariant(enum.Enum):
         return "number" if self.value.startswith("number") else "parity"
 
 
-def _pinch_by_labels(matrix: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Zero every element between basis states with different labels."""
-    mask = labels[:, None] == labels[None, :]
-    return np.where(mask, matrix, 0.0)
+_OCC = fock.occupation_table(2)
+_N_A = _OCC[:, 0] + _OCC[:, 1]
+_N_B = _OCC[:, 2] + _OCC[:, 3]
+#: Pinching masks, one per channel: ``True`` between basis states that share
+#: the quantum numbers the channel keeps.  ``total_spin`` acts in the
+#: number-variant symmetry basis, every other channel in the product basis.
+_PINCH_MASKS = {
+    name: labels[:, None] == labels[None, :]
+    for name, labels in {
+        "local_number": _N_A * 8 + _N_B,
+        "local_parity": (_N_A % 2) * 2 + _N_B % 2,
+        "number": _N_A + _N_B,
+        "sz": _OCC[:, 0] - _OCC[:, 1] + _OCC[:, 2] - _OCC[:, 3],
+        "total_spin": np.rint(2 * fock.build_symmetry_basis("number").spin),
+    }.items()
+}
 
 
-def _local_number_labels() -> np.ndarray:
-    occ = fock.occupation_table(2)
-    n_a = occ[:, 0] + occ[:, 1]
-    n_b = occ[:, 2] + occ[:, 3]
-    return np.asarray(n_a * 8 + n_b, dtype=np.int64)
-
-
-def _local_parity_labels() -> np.ndarray:
-    occ = fock.occupation_table(2)
-    n_a = (occ[:, 0] + occ[:, 1]) % 2
-    n_b = (occ[:, 2] + occ[:, 3]) % 2
-    return np.asarray(n_a * 2 + n_b, dtype=np.int64)
+def _pinch(matrix: np.ndarray, channel: str) -> np.ndarray:
+    """Zero every element between basis states the channel separates."""
+    return np.where(_PINCH_MASKS[channel], matrix, 0.0)
 
 
 def nssr_project(state: TwoOrbitalState) -> TwoOrbitalState:
@@ -75,7 +79,7 @@ def nssr_project(state: TwoOrbitalState) -> TwoOrbitalState:
     Idempotent and trace preserving; kills all coherence between blocks of
     different ``(N_A, N_B)`` while leaving every within-block element alone.
     """
-    return TwoOrbitalState(_pinch_by_labels(state.matrix, _local_number_labels()))
+    return TwoOrbitalState(_pinch(state.matrix, "local_number"), validate=False)
 
 
 def pssr_project(state: TwoOrbitalState) -> TwoOrbitalState:
@@ -84,21 +88,16 @@ def pssr_project(state: TwoOrbitalState) -> TwoOrbitalState:
     Strictly weaker than :func:`nssr_project`: composing the two in either
     order gives the number projection.
     """
-    return TwoOrbitalState(_pinch_by_labels(state.matrix, _local_parity_labels()))
+    return TwoOrbitalState(_pinch(state.matrix, "local_parity"), validate=False)
 
 
-def _diagonal_labels(generator: str) -> np.ndarray:
-    occ = fock.occupation_table(2)
-    if generator == "number":
-        return occ.sum(axis=1).astype(np.int64)
-    if generator == "sz":
-        # twice Sz, to keep integer labels
-        return np.asarray(
-            occ[:, 0] - occ[:, 1] + occ[:, 2] - occ[:, 3], dtype=np.int64
-        )
-    if generator == "local_number":
-        return _local_number_labels()
-    raise ValueError(f"unsupported twirl generator {generator!r}")
+def project(state: TwoOrbitalState, rule: str) -> TwoOrbitalState:
+    """Superselection projection of ``rule`` (``"number"`` or ``"parity"``)."""
+    if rule == "number":
+        return nssr_project(state)
+    if rule == "parity":
+        return pssr_project(state)
+    raise ValueError(f"unknown superselection rule {rule!r}")
 
 
 def twirl(state: TwoOrbitalState, generator: str) -> TwoOrbitalState:
@@ -108,14 +107,13 @@ def twirl(state: TwoOrbitalState, generator: str) -> TwoOrbitalState:
     ``total_spin``.  The total-spin twirl removes the singlet/triplet
     coherence; the others pinch diagonal quantum-number blocks.
     """
+    if generator not in TWIRL_GENERATORS:
+        raise ValueError(f"unsupported twirl generator {generator!r}")
     if generator == "total_spin":
-        basis = fock.build_symmetry_basis("number")
-        in_basis = basis.vectors.conj().T @ state.matrix @ basis.vectors
-        # group by total-spin quantum number (0, 1/2, 1)
-        labels = np.rint(2 * basis.spin).astype(np.int64)
-        pinched = _pinch_by_labels(in_basis, labels)
-        return TwoOrbitalState(basis.vectors @ pinched @ basis.vectors.conj().T)
-    return TwoOrbitalState(_pinch_by_labels(state.matrix, _diagonal_labels(generator)))
+        v = fock.build_symmetry_basis("number").vectors
+        pinched = _pinch(v.conj().T @ state.matrix @ v, generator)
+        return TwoOrbitalState(v @ pinched @ v.conj().T, validate=False)
+    return TwoOrbitalState(_pinch(state.matrix, generator), validate=False)
 
 
 class SymmetryCheck(NamedTuple):
@@ -155,25 +153,35 @@ class SymmetryReport:
         return out
 
 
-def _commutator_norm(matrix: np.ndarray, observable: np.ndarray) -> float:
-    c = matrix @ observable - observable @ matrix
-    return float(np.linalg.norm(c))
+#: Diagonals of the particle-number and magnetization operators.
+_NUMBER = np.diag(fock.build_operator("number"))
+_SZ = np.diag(fock.build_operator("sz"))
+# Product-basis indices of |up,up>, |down,down>, the vacuum and the filled
+# state: these number-basis vectors are product states, so their weights are
+# diagonal entries of the density matrix.
+_UP_UP, _DOWN_DOWN, _EMPTY, _FILLED = 5, 10, 0, 15
+
+
+def _diagonal_commutator_norm(matrix: np.ndarray, diagonal: np.ndarray) -> float:
+    """Norm of ``[matrix, diag(diagonal)]``, elementwise from the products the
+    dense commutator forms, so both give the same bits."""
+    return float(np.linalg.norm(matrix * diagonal - diagonal[:, None] * matrix))
 
 
 def detect_symmetries(state: TwoOrbitalState, tol: float = DETECTION_TOL) -> SymmetryReport:
     """Measure the symmetries that gate the closed entanglement formulas."""
     m = state.matrix
     reflection = fock.reflection_operator()
-    basis = fock.build_symmetry_basis("number")
-    weights = np.real(np.einsum("ij,jk,ki->i", basis.vectors.conj().T, m, basis.vectors))
+    s2 = fock.build_operator("total_spin")
+    weights = m.diagonal().real
 
     checks = {
-        "number": _commutator_norm(m, fock.build_operator("number")),
-        "magnetization": _commutator_norm(m, fock.build_operator("sz")),
-        "total_spin": _commutator_norm(m, fock.build_operator("total_spin")),
+        "number": _diagonal_commutator_norm(m, _NUMBER),
+        "magnetization": _diagonal_commutator_norm(m, _SZ),
+        "total_spin": float(np.linalg.norm(m @ s2 - s2 @ m)),
         "reflection": float(np.linalg.norm(reflection @ m @ reflection.T - m)),
-        "triplet_balance": abs(weights[fock.TRIPLET_UP] - weights[fock.TRIPLET_DOWN]),
-        "particle_hole_balance": abs(weights[fock.VACUUM] - weights[fock.FULL]),
+        "triplet_balance": abs(weights[_UP_UP] - weights[_DOWN_DOWN]),
+        "particle_hole_balance": abs(weights[_EMPTY] - weights[_FILLED]),
     }
     return SymmetryReport(
         tol=tol,

@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 
+import orbent
 from orbent import cli, fock, stateio
 from orbent.sampling import random_state
 
@@ -75,6 +81,16 @@ class TestFormulaCommand:
     def test_missing_file(self, capsys):
         code, _, err = run(["formula", "no-such-file.json"], capsys)
         assert code == cli.EXIT_USAGE
+
+    def test_non_finite_entry_exit_code(self, tmp_path, capsys):
+        data = json.loads(Path(singlet_file(tmp_path)).read_text())
+        data["re"][0][0] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))
+        for command in ("formula", "inspect", "oracle-verify"):
+            code, _, err = run([command, str(path)], capsys)
+            assert code == cli.EXIT_USAGE
+            assert "non-finite" in err
 
     def test_twirl_coherence_flag(self, tmp_path, capsys):
         basis = fock.build_symmetry_basis("number")
@@ -209,3 +225,26 @@ class TestSeniorityCommand:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["version"]
+
+
+class TestThreadPinning:
+    def test_thread_variables_are_set_before_numpy_loads(self):
+        # record the BLAS/OpenMP thread variables at the moment numpy's import starts
+        names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        probe = textwrap.dedent(f"""
+            import importlib.abc, json, os, sys
+            seen = {{}}
+            class Spy(importlib.abc.MetaPathFinder):
+                def find_spec(self, name, path=None, target=None):
+                    if name == "numpy" and not seen:
+                        seen.update({{k: os.environ.get(k) for k in {names!r}}})
+            sys.meta_path.insert(0, Spy())
+            import orbent.cli
+            print(json.dumps(seen))
+        """)
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["ORBENT_NUM_THREADS"] = "3"
+        env["PYTHONPATH"] = str(Path(orbent.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert json.loads(proc.stdout) == dict.fromkeys(names, "3")

@@ -53,6 +53,13 @@ class TestSectorSpectrum:
         with pytest.raises(ValueError):
             spectrum_from(np.full(16, 0.9 / 16.0))
 
+    def test_rejects_non_finite(self):
+        weights = np.full(16, 1 / 16.0)
+        with pytest.raises(ValueError, match="finite"):
+            spectrum_from(np.where(np.arange(16) == 3, np.nan, weights))
+        with pytest.raises(ValueError, match="finite"):
+            spectrum_from(weights, spin_coherence=complex(np.nan, 0.0))
+
 
 class TestSeparabilityChecks:
     def test_balanced_is_separable(self):
@@ -141,7 +148,7 @@ class TestGeneralFormula:
     def test_reduces_to_singlet_case(self, rng):
         for _ in range(300):
             p = random_weights(rng, "singlet")
-            if p[list(oracle.SPIN_SECTOR_ROLES)].min() < 1e-9:
+            if p[list(fock.SPIN_SECTOR)].min() < 1e-9:
                 continue
             r1 = ent.nssr_entanglement_singlet(spectrum_from(p))
             r2 = ent.nssr_entanglement_general(spectrum_from(p))
@@ -389,3 +396,34 @@ class TestOracleFallback:
                           fock.TRIPLET_UP: 0.12})
         with pytest.raises(DegenerateSectorError):
             ent.orbital_entanglement(state_from_weights(w), "number", fallback_oracle=False)
+
+    def test_rounding_level_spin_sector_under_parity_rule(self):
+        # as in pair reductions of exchange-even singlets: rounding-level
+        # triplet weights beside a rank-deficient doublon sector, which sends
+        # the parity rule to the oracle for both sectors
+        w = np.zeros(16)
+        w[[fock.SINGLET, fock.TRIPLET_ZERO, fock.TRIPLET_UP, fock.TRIPLET_DOWN]] = (
+            0.2, 7e-18, 3e-32, 1e-33)
+        w[[fock.DOUBLE_A, fock.DOUBLE_B, fock.VACUUM, fock.FULL]] = (0.0, 0.25, 0.1, 0.012)
+        w[1:5] = (1.0 - w.sum()) / 4.0
+        state = state_from_weights(w, "parity")
+        res = ent.orbital_entanglement(state, "parity")
+        assert res.method == "oracle"
+        assert math.isfinite(res.value)
+        assert ent.orbital_entanglement(state, "number").value <= res.value <= LN2
+
+
+class TestResultWeights:
+    @pytest.mark.parametrize("weights, rule, method", [
+        ({fock.TRIPLET_UP: 0.3, fock.DOUBLE_A: 0.2}, "number", "classical-mixture"),
+        ({fock.SINGLET: 0.5, fock.TRIPLET_ZERO: 0.1, fock.TRIPLET_UP: 0.1,
+          fock.TRIPLET_DOWN: 0.1}, "parity", "closed-form"),
+        ({fock.SINGLET: 0.55, fock.TRIPLET_ZERO: 0.05, fock.TRIPLET_UP: 0.12},
+         "number", "oracle"),
+    ])
+    def test_result_carries_the_weights_it_was_computed_from(self, weights, rule, method):
+        state = state_from_weights(weights_with(weights))
+        res = ent.orbital_entanglement(state, rule)
+        assert res.method == method
+        spectrum = ent.sector_spectrum(ssr.project(state, rule), res.basis_variant)
+        assert np.array_equal(res.weights, spectrum.weights)

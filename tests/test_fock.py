@@ -124,6 +124,13 @@ class TestTwoOrbitalState:
         with pytest.raises(ValueError):
             fock.TwoOrbitalState(m)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(16, dtype=complex) / 16
+        m[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fock.TwoOrbitalState(m)
+
     def test_immutable(self):
         state = fock.maximally_mixed_state()
         with pytest.raises(ValueError):

@@ -168,6 +168,35 @@ class TestTwoOrbitalRdm:
             values.append(ent.orbital_entanglement(rdm, "number").value)
         assert max(values) - min(values) < 1e-9
 
+    @pytest.mark.parametrize("n_up, n_dn, u, v", [(2, 2, 4.0, 1.0), (2, 1, 2.5, 0.5),
+                                                  (1, 2, 6.0, 2.0)])
+    def test_sector_reduction_matches_dense_reduction(self, n_up, n_dn, u, v):
+        # the species-blocked ED vector written out in the interleaved Fock
+        # basis of orbent.fock, then reduced by the dense operator-string route
+        length = 4
+        basis = lattice.sector_basis(length, n_up, n_dn)
+        chain = lattice.ChainSpec(length, n_up, n_dn, u=u, v=v)
+        psi = lattice.ground_state(lattice.build_hamiltonian(chain, basis)).amplitudes
+        dense = np.zeros(4**length, dtype=complex)
+        for iu, up in enumerate(basis.up_states):
+            for idn, dn in enumerate(basis.dn_states):
+                up_bits = [(int(up) >> s) & 1 for s in range(length)]
+                dn_bits = [(int(dn) >> s) & 1 for s in range(length)]
+                index = sum((up_bits[s] + 2 * dn_bits[s]) * 4 ** (length - 1 - s)
+                            for s in range(length))
+                # interleaving moves each down operator past the up operators
+                # of later sites
+                swaps = sum(up_bits[t] for s in range(length) if dn_bits[s]
+                            for t in range(s + 1, length))
+                dense[index] = (-1.0) ** swaps * psi[iu * len(basis.dn_states) + idn]
+        for i in range(length):
+            for j in range(length):
+                if i == j:
+                    continue
+                reference = fock.reduce_to_orbitals(dense, (i, j), length)
+                reduced = lattice._pair_rdm_from_vector(psi, basis, i, j)
+                assert np.abs(reduced - reference).max() < 1e-14
+
     def test_index_validation(self):
         basis = lattice.sector_basis(4, 2, 2)
         gs = lattice.ground_state(lattice.build_hamiltonian(lattice.ChainSpec(4, 2, 2), basis))

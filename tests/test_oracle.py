@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
 from orbent import fock, oracle, ssr
+from orbent.errors import OracleConvergenceError
 from orbent.free_fermion import correlation_block, pair_correlation_modes, two_site_rdm
 from orbent.sampling import random_separable_symmetric_state, random_weights
 
@@ -87,6 +88,8 @@ class TestKlMinOracle:
         (0.5, 0.1, 0.2, 0.0),       # one product weight zero
         (0.5, 0.1, 0.0, 0.2),       # the mirrored zero
         (0.5, 0.0, 0.15, 0.15),     # zero partner weight, full products
+        (0.2, 7e-18, 3e-32, 1e-33),  # rounding-level partner and products
+        (0.2, 0.0, 3e-32, 1e-33),   # rounding-level products, no partner
     ])
     def test_degenerate_sectors_match_slsqp(self, sector):
         p = np.zeros(16)
@@ -96,6 +99,36 @@ class TestKlMinOracle:
         reference = slsqp_sector_reference(sector)
         assert reference is not None
         assert abs(sol.value - reference) < 1e-6
+
+    @pytest.mark.parametrize("sector", [(0.2, 7e-18, 3e-32, 1e-33), (0.2, 0.0, 3e-32, 1e-33)])
+    def test_rounding_level_sectors_match_singlet_formula(self, sector):
+        # 1 + m_low rounds to zero (first) or the gap at m_low does (second)
+        from orbent.entanglement import SectorSpectrum, nssr_entanglement_singlet
+
+        p = np.zeros(16)
+        p[[fock.SINGLET, fock.TRIPLET_ZERO, fock.TRIPLET_UP, fock.TRIPLET_DOWN]] = sector
+        p[fock.VACUUM] = 1.0 - p.sum()
+        sol = oracle.kl_min_oracle(oracle.ConstrainedSimplexProblem(p, "number"))
+        formula = nssr_entanglement_singlet(SectorSpectrum(p))
+        assert math.isfinite(sol.value)
+        assert abs(sol.value - formula.value) < 1e-12
+
+    def test_zero_weight_under_positive_target_is_not_certified(self, monkeypatch):
+        # a solver that drops a rounding-level partner weight returns q_y = 0
+        # under p_y > 0: its own residuals pass, but the value is infinite
+        solve = oracle._solve_constrained_sector
+
+        def drop_partner(p4):
+            x, _, u, v = p4
+            return solve((x, 0.0, u, v))
+
+        monkeypatch.setattr(oracle, "_solve_constrained_sector", drop_partner)
+        p = np.zeros(16)
+        p[[fock.SINGLET, fock.TRIPLET_ZERO, fock.TRIPLET_UP, fock.TRIPLET_DOWN]] = (
+            0.2, 7e-18, 3e-32, 1e-33)
+        p[fock.VACUUM] = 1.0 - p.sum()
+        with pytest.raises(OracleConvergenceError, match="zero weight"):
+            oracle.kl_min_oracle(oracle.ConstrainedSimplexProblem(p, "number"))
 
     def test_full_rank_matches_slsqp(self, rng):
         for _ in range(10):
@@ -146,6 +179,8 @@ class TestKlMinOracle:
             oracle.ConstrainedSimplexProblem(np.full(16, 1.0), "number")
         with pytest.raises(ValueError):
             oracle.ConstrainedSimplexProblem(np.full(16, 1 / 16.0), "charge")
+        with pytest.raises(ValueError, match="finite"):
+            oracle.ConstrainedSimplexProblem(np.full(16, np.nan), "number")
 
     def test_uniform_target_feasible(self):
         sol = oracle.kl_min_oracle(

@@ -58,6 +58,13 @@ class TestProjections:
         assert_allclose(np_first.matrix, pn_first.matrix, atol=1e-14)
         assert_allclose(pn_first.matrix, ssr.nssr_project(state).matrix, atol=1e-14)
 
+    def test_project_dispatches_by_rule(self, rng):
+        state = random_state(rng)
+        assert np.array_equal(ssr.project(state, "number").matrix, ssr.nssr_project(state).matrix)
+        assert np.array_equal(ssr.project(state, "parity").matrix, ssr.pssr_project(state).matrix)
+        with pytest.raises(ValueError):
+            ssr.project(state, "charge")
+
     def test_diagonal_weights_unchanged(self, rng, number_basis):
         state = random_state(rng)
         before = entanglement.sector_spectrum(state, number_basis).weights
@@ -144,6 +151,26 @@ class TestDetectSymmetries:
         assert all(flags[name]["ok"] for name in
                    ("number", "magnetization", "total_spin", "reflection",
                     "triplet_balance", "particle_hole_balance"))
+
+    def test_residuals_match_dense_commutators_and_basis_weights(self, rng, number_basis):
+        # reference: the dense commutators and the number-basis rotation
+        v = number_basis.vectors
+        for k in range(60):
+            state = random_state(rng)
+            if k % 3 == 1:
+                state = ssr.nssr_project(state)
+            elif k % 3 == 2:
+                state = ssr.twirl(ssr.twirl(state, "number"), "sz")
+            m = state.matrix
+            weights = np.real(np.einsum("ij,jk,ki->i", v.conj().T, m, v))
+            report = ssr.detect_symmetries(state)
+            for name, tag in (("number", "number"), ("magnetization", "sz")):
+                q = fock.build_operator(tag)
+                assert getattr(report, name).residual == float(np.linalg.norm(m @ q - q @ m))
+            assert report.triplet_balance.residual == abs(
+                weights[fock.TRIPLET_UP] - weights[fock.TRIPLET_DOWN])
+            assert report.particle_hole_balance.residual == abs(
+                weights[fock.VACUUM] - weights[fock.FULL])
 
     def test_report_serializes(self, rng):
         report = ssr.detect_symmetries(random_state(rng))
