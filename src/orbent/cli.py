@@ -199,7 +199,7 @@ def _oracle_verify_file(args: argparse.Namespace, units: str, scale: float) -> i
                                                     fallback_oracle=False)
         payload[f"formula_value_{units}"] = formula.value * scale
         payload["abs_delta"] = abs(formula.value - solution.value) * scale
-        payload["variant"] = formula.variant.value
+        payload["variant"] = formula.variant.value if formula.variant else None
     except (InsufficientSymmetryError, DegenerateSectorError) as exc:
         payload[f"formula_value_{units}"] = None
         payload["formula_unavailable"] = str(exc)

@@ -38,6 +38,9 @@ __all__ = [
 
 MAX_SITES = 14
 MAX_SECTOR_DIM = 12_000_000
+#: Largest sector Hamiltonian, in stored CSR bytes, that a build may start;
+#: the build itself peaks at about twice this (measured at L = 12).
+MAX_HAMILTONIAN_BYTES = 512 * 2**20
 DENSE_CUTOFF = 2000
 DEGENERACY_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
@@ -151,18 +154,57 @@ def _species_hopping(states: np.ndarray, length: int, bonds) -> sparse.csr_matri
     return (hop + hop.T).tocsr()
 
 
-def build_hamiltonian(chain: ChainSpec, basis: SectorBasis | None = None) -> sparse.csr_matrix:
-    """Sparse real-symmetric Hamiltonian on the sector basis."""
-    if basis is None:
-        basis = sector_basis(chain.length, chain.n_up, chain.n_dn)
+def _hamiltonian_size(k_up: sparse.csr_matrix, k_dn: sparse.csr_matrix) -> tuple[int, int]:
+    """Stored entries and CSR bytes of the sector Hamiltonian over these hoppings.
+
+    The two Kronecker terms never overlap (a hopping has no diagonal), and the
+    interaction adds the diagonal, so the count is exact unless an entry of
+    the sum is zero (``t_hop = 0``, or a zero interaction diagonal entry),
+    which the sum does not store.  Below 2**31 entries CSR stores 8-byte
+    values and 4-byte column indices and row pointers.
+    """
+    n_up, n_dn = k_up.shape[0], k_dn.shape[0]
+    dim = n_up * n_dn
+    nnz = k_up.nnz * n_dn + n_up * k_dn.nnz + dim
+    return nnz, 12 * nnz + 4 * (dim + 1)
+
+
+def _kinetic(chain: ChainSpec, basis: SectorBasis) -> sparse.csr_matrix:
+    """Hopping part ``-t (K_up x 1 + 1 x K_dn)``; independent of ``u`` and ``v``.
+
+    Refuses, before any sector-sized allocation, a sector whose Hamiltonian
+    would exceed :data:`MAX_HAMILTONIAN_BYTES`.
+    """
     bonds = chain.bonds
     k_up = _species_hopping(basis.up_states, chain.length, bonds)
     k_dn = _species_hopping(basis.dn_states, chain.length, bonds)
+    nnz, stored = _hamiltonian_size(k_up, k_dn)
+    if stored > MAX_HAMILTONIAN_BYTES:
+        raise OrbentError(
+            f"sector Hamiltonian would store {nnz} nonzeros in {stored / 2**20:.0f} MiB, "
+            f"above the {MAX_HAMILTONIAN_BYTES / 2**20:.0f} MiB limit"
+        )
     n_up, n_dn = len(basis.up_states), len(basis.dn_states)
-    h = -chain.t_hop * (
+    return -chain.t_hop * (
         sparse.kron(k_up, sparse.identity(n_dn, format="csr"), format="csr")
         + sparse.kron(sparse.identity(n_up, format="csr"), k_dn, format="csr")
     )
+
+
+def build_hamiltonian(chain: ChainSpec, basis: SectorBasis | None = None, *,
+                      kinetic: sparse.csr_matrix | None = None) -> sparse.csr_matrix:
+    """Sparse real-symmetric Hamiltonian on the sector basis.
+
+    ``kinetic`` is the hopping part built once for a chain that differs from
+    ``chain`` at most in ``u`` and ``v`` (as :func:`bond_scan` does); only
+    the interaction diagonal is then added to it.
+    """
+    if basis is None:
+        basis = sector_basis(chain.length, chain.n_up, chain.n_dn)
+    if kinetic is None:
+        kinetic = _kinetic(chain, basis)
+    bonds = chain.bonds
+    n_up, n_dn = len(basis.up_states), len(basis.dn_states)
 
     occ_up = _occupancy(basis.up_states, chain.length).astype(np.float64)
     occ_dn = _occupancy(basis.dn_states, chain.length).astype(np.float64)
@@ -178,8 +220,7 @@ def build_hamiltonian(chain: ChainSpec, basis: SectorBasis | None = None) -> spa
         same_dn = np.einsum("ak,kl,al->a", occ_dn, shift, occ_dn) / 2.0
         cross = occ_up @ shift @ occ_dn.T
         diag += chain.v * (same_up[:, None] + same_dn[None, :] + cross)
-    h = h + sparse.diags(diag.ravel())
-    return h.tocsr()
+    return (kinetic + sparse.diags(diag.ravel())).tocsr()
 
 
 @dataclass(frozen=True)
@@ -204,23 +245,36 @@ class GroundState:
             raise OrbentError(f"eigensolver residual {self.residual:.3e} too large")
 
 
+def _lowest_eigenpairs(hamiltonian: sparse.spmatrix, k: int, v0: np.ndarray):
+    """The ``k`` lowest eigenpairs by Lanczos, in ascending order."""
+    try:
+        energies, vectors = sparse_linalg.eigsh(hamiltonian, k=k, which="SA", v0=v0)
+    except sparse_linalg.ArpackNoConvergence as exc:
+        raise OrbentError(f"eigensolver did not converge: {exc}") from exc
+    order = np.argsort(energies)
+    return energies[order], vectors[:, order]
+
+
 def ground_state(hamiltonian: sparse.spmatrix, *, seed: int = 7,
                  degeneracy_tol: float = DEGENERACY_TOL,
                  dense_cutoff: int = DENSE_CUTOFF) -> GroundState:
-    """Lowest eigenpair, dense below ``dense_cutoff``, else Lanczos with fixed seed."""
+    """Lowest eigenpair, dense below ``dense_cutoff``, else Lanczos with fixed seed.
+
+    Lanczos asks for the two lowest eigenpairs, which give the energy, the
+    gap and the degeneracy test.  When the test fires, it solves once more
+    for the six lowest from the same start vector, so that ``multiplet``
+    holds the whole degenerate multiplet (up to six vectors).
+    """
     dim = hamiltonian.shape[0]
     if dim <= dense_cutoff:
         energies, vectors = np.linalg.eigh(hamiltonian.toarray())
     else:
-        k = min(6, dim - 1)
         v0 = np.random.default_rng(seed).normal(size=dim)
         v0 /= np.linalg.norm(v0)
-        try:
-            energies, vectors = sparse_linalg.eigsh(hamiltonian, k=k, which="SA", v0=v0)
-        except sparse_linalg.ArpackNoConvergence as exc:
-            raise OrbentError(f"eigensolver did not converge: {exc}") from exc
-        order = np.argsort(energies)
-        energies, vectors = energies[order], vectors[:, order]
+        k = min(2, dim - 1)
+        energies, vectors = _lowest_eigenpairs(hamiltonian, k, v0)
+        if k < min(6, dim - 1) and energies[1] - energies[0] < degeneracy_tol:
+            energies, vectors = _lowest_eigenpairs(hamiltonian, min(6, dim - 1), v0)
 
     e0 = float(energies[0])
     psi = vectors[:, 0] / np.linalg.norm(vectors[:, 0])
@@ -370,6 +424,8 @@ def bond_scan(chain: ChainSpec, u_values, v_values, pivot: int, *, seed: int = 7
     Requires an open chain at half filling with even length.  Returns one row
     per grid point with both bond values; the strong/weak assignment is by
     magnitude, which keeps the scan free of any bond-labeling convention.
+    The hopping part does not depend on ``(U, V)``, so it is built once per
+    scan and each grid point adds only its interaction diagonal.
     """
     if chain.boundary != "open":
         raise ValueError("bond scans are defined for open chains")
@@ -378,11 +434,12 @@ def bond_scan(chain: ChainSpec, u_values, v_values, pivot: int, *, seed: int = 7
     if not 1 <= pivot <= chain.length - 2:
         raise ValueError("pivot must have a bond on each side")
     basis = sector_basis(chain.length, chain.n_up, chain.n_dn)
+    kinetic = _kinetic(chain, basis)
     rows = []
     for u in np.atleast_1d(u_values):
         for v in np.atleast_1d(v_values):
             point = replace(chain, u=float(u), v=float(v))
-            gs = ground_state(build_hamiltonian(point, basis), seed=seed)
+            gs = ground_state(build_hamiltonian(point, basis, kinetic=kinetic), seed=seed)
             left = two_orbital_rdm(gs, basis, pivot - 1, pivot)
             right = two_orbital_rdm(gs, basis, pivot, pivot + 1)
             e_left = orbital_entanglement(left, "number").value

@@ -191,9 +191,22 @@ def _solve_constrained_sector(p4) -> tuple[tuple[float, float, float, float], fl
                 d - m_star * w,
             )
             mu = m_star / w
+            resid = _kkt_residual((a, b, c, d), q_frame, mu)
+            if resid > STATIONARITY_TOL:
+                # Near rounding level the bracket resolves but the root in m
+                # loses the accuracy the certificate needs; the shifted solve
+                # may still certify.
+                try:
+                    q_corner, mu_corner = _solve_near_corner(a, b, c, d)
+                except OracleConvergenceError:
+                    pass
+                else:
+                    resid_corner = _kkt_residual((a, b, c, d), q_corner, mu_corner)
+                    if resid_corner <= STATIONARITY_TOL:
+                        q_frame, resid = q_corner, resid_corner
         else:
             q_frame, mu = _solve_near_corner(a, b, c, d)
-        resid = _kkt_residual((a, b, c, d), q_frame, mu)
+            resid = _kkt_residual((a, b, c, d), q_frame, mu)
 
     qx, qy, qu, qv = q_frame
     if flip_uv:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import orbent
-from orbent import cli, fock, stateio
+from orbent import cli, fock, lattice, stateio
 from orbent.sampling import random_state
 
 from conftest import state_from_weights
@@ -157,8 +157,29 @@ class TestOracleVerifyCommand:
         payload = json.loads(out)
         assert payload["abs_delta"] < 1e-12
 
+    def test_file_mode_classical_mixture(self, tmp_path, capsys):
+        # the projected state is diagonal in the product basis, so the
+        # formula side takes its classical-mixture path, which has no variant
+        path = tmp_path / "mixture.json"
+        stateio.save_state(path, fock.TwoOrbitalState(np.eye(16) / 16))
+        code, out, _ = run(["oracle-verify", str(path)], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["variant"] is None
+        assert payload["abs_delta"] < 1e-12
+        assert payload["formula_value_nats"] == payload["oracle_value_nats"] == 0.0
+
 
 class TestScanCommands:
+    def test_ehm_scan_refuses_an_oversized_sector(self, capsys):
+        # read the limit first, so that code without the preflight fails
+        # here instead of building the multi-gigabyte L=14 matrix
+        assert lattice.MAX_HAMILTONIAN_BYTES < 2**30
+        code, out, err = run(["ehm-scan", "--L", "14", "--U", "6", "--V", "3"], capsys)
+        assert code == cli.EXIT_FAILURE
+        assert out == ""
+        assert "176679360 nonzeros" in err and "512 MiB limit" in err
+
     def test_free_fermion_scan_format(self, capsys):
         code, out, _ = run(
             ["free-fermion-scan", "--eta-grid", "0.5", "--l-max", "3"], capsys

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from orbent import entanglement as ent
 from orbent import fock, free_fermion as ff, lattice, ssr
-from orbent.errors import DegenerateGroundStateError
+from orbent.errors import DegenerateGroundStateError, OrbentError
 
 LN2 = math.log(2.0)
 
@@ -79,6 +80,17 @@ class TestHamiltonian:
         levels = np.linalg.eigvalsh(hop)
         assert gs.energy == pytest.approx(2 * levels[:4].sum(), abs=1e-10)
 
+    @pytest.mark.parametrize("chain", [lattice.ChainSpec(6, 3, 3, u=4.0, v=1.0),
+                                       lattice.ChainSpec(5, 2, 3, t_hop=0.7, u=2.0, v=0.7,
+                                                         boundary="periodic")])
+    def test_prebuilt_kinetic_gives_the_same_matrix(self, chain):
+        basis = lattice.sector_basis(chain.length, chain.n_up, chain.n_dn)
+        kinetic = lattice._kinetic(replace(chain, u=0.0, v=0.0), basis)
+        reference = lattice.build_hamiltonian(chain, basis)
+        reused = lattice.build_hamiltonian(chain, basis, kinetic=kinetic)
+        for field in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(reused, field), getattr(reference, field))
+
     def test_strong_coupling_heisenberg_limit(self):
         chain = lattice.ChainSpec(2, 1, 1, u=1000.0)
         basis = lattice.sector_basis(2, 1, 1)
@@ -116,6 +128,28 @@ class TestGroundState:
         dense = lattice.ground_state(h, dense_cutoff=10**6)
         sparse_gs = lattice.ground_state(h, dense_cutoff=10)
         assert sparse_gs.energy == pytest.approx(dense.energy, abs=1e-9)
+        assert sparse_gs.energy_gap == pytest.approx(dense.energy_gap, abs=1e-9)
+        assert not sparse_gs.degenerate and len(sparse_gs.multiplet) == 1
+
+    @pytest.mark.parametrize("length, filling", [(4, 2), (6, 2), (8, 4)])
+    def test_lanczos_resolves_four_fold_multiplet(self, length, filling):
+        # free rings with one electron per spin in a two-fold level: the
+        # ground multiplet has four states, more than the first Lanczos
+        # solve returns, so four vectors mean the wider solve ran
+        chain = lattice.ChainSpec(length, filling, filling, boundary="periodic")
+        h = lattice.build_hamiltonian(chain)
+        gs = lattice.ground_state(h, dense_cutoff=10)
+        ring = np.sort(-2.0 * np.cos(2.0 * np.pi * np.arange(length) / length))
+        assert gs.energy == pytest.approx(2.0 * ring[:filling].sum(), abs=1e-10)
+        assert gs.degenerate and len(gs.multiplet) == 4
+        if h.shape[0] <= lattice.DENSE_CUTOFF:  # the L=8 dense solve takes seconds
+            dense = lattice.ground_state(h)
+            assert gs.energy == pytest.approx(dense.energy, abs=1e-10)
+            assert len(dense.multiplet) == 4
+        overlaps = np.array([[v @ w for w in gs.multiplet] for v in gs.multiplet])
+        assert np.abs(overlaps - np.eye(4)).max() < 1e-10
+        for v in gs.multiplet:
+            assert np.linalg.norm(h @ v - gs.energy * v) < lattice.RESIDUAL_TOL
 
 
 class TestTwoOrbitalRdm:
@@ -222,6 +256,28 @@ class TestBondScan:
             assert row["e_strong"] >= row["e_weak"] >= 0.0
             assert row["delta"] == pytest.approx(row["e_strong"] - row["e_weak"])
 
+    def test_rows_match_point_by_point_solves(self):
+        # the scan reuses one hopping build; each point solved on its own
+        # from a full build must give the same rows, bit for bit
+        chain = lattice.ChainSpec(8, 4, 4)
+        u_values, v_values = [4.0, 6.0], [2.5, 3.0]
+        rows = lattice.bond_scan(chain, u_values, v_values, 4, seed=3)
+        basis = lattice.sector_basis(8, 4, 4)
+        expected = []
+        for u in u_values:
+            for v in v_values:
+                point = lattice.ChainSpec(8, 4, 4, u=u, v=v)
+                gs = lattice.ground_state(lattice.build_hamiltonian(point, basis), seed=3)
+                left, right = (
+                    ent.orbital_entanglement(lattice.two_orbital_rdm(gs, basis, i, j),
+                                             "number").value
+                    for i, j in ((3, 4), (4, 5))
+                )
+                expected.append({"u": u, "v": v, "e_strong": max(left, right),
+                                 "e_weak": min(left, right), "delta": abs(left - right),
+                                 "energy": gs.energy})
+        assert rows == expected
+
     def test_deep_cdw_collapse(self):
         # a dominant neighbor repulsion freezes the chain into the classical
         # charge-density-wave mixture, so both bond entanglements collapse
@@ -239,3 +295,36 @@ class TestBondScan:
             values.append(max(bonds))
         assert values[0] > values[1] > values[2]
         assert values[-1] < 0.01
+
+
+class TestMemoryPreflight:
+    @staticmethod
+    def size_estimate(chain):
+        basis = lattice.sector_basis(chain.length, chain.n_up, chain.n_dn)
+        k_up, k_dn = (lattice._species_hopping(states, chain.length, chain.bonds)
+                      for states in (basis.up_states, basis.dn_states))
+        return lattice._hamiltonian_size(k_up, k_dn)
+
+    @pytest.mark.parametrize("chain", [lattice.ChainSpec(8, 4, 4, u=6.0, v=3.0),
+                                       lattice.ChainSpec(5, 2, 3, u=2.0, v=0.7,
+                                                         boundary="periodic")])
+    def test_estimate_is_exact(self, chain):
+        h = lattice.build_hamiltonian(chain)
+        stored = h.data.nbytes + h.indices.nbytes + h.indptr.nbytes
+        assert self.size_estimate(chain) == (h.nnz, stored)
+
+    def test_half_filled_l12_is_admitted(self):
+        nnz, stored = self.size_estimate(lattice.ChainSpec(12, 6, 6))
+        assert nnz == 11_099_088
+        assert stored <= lattice.MAX_HAMILTONIAN_BYTES
+
+    def test_half_filled_l14_is_refused(self):
+        # the estimate is checked first, so code without the preflight fails
+        # here instead of building the multi-gigabyte matrix
+        chain = lattice.ChainSpec(14, 7, 7, u=6.0, v=3.0)
+        nnz, stored = self.size_estimate(chain)
+        assert stored > lattice.MAX_HAMILTONIAN_BYTES
+        with pytest.raises(OrbentError, match=rf"{nnz} nonzeros .* above the 512 MiB limit"):
+            lattice.build_hamiltonian(chain)
+        with pytest.raises(OrbentError, match="above the 512 MiB limit"):
+            lattice.bond_scan(chain, [6.0], [3.0], 7)

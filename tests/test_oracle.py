@@ -100,9 +100,12 @@ class TestKlMinOracle:
         assert reference is not None
         assert abs(sol.value - reference) < 1e-6
 
-    @pytest.mark.parametrize("sector", [(0.2, 7e-18, 3e-32, 1e-33), (0.2, 0.0, 3e-32, 1e-33)])
+    @pytest.mark.parametrize("sector", [(0.2, 7e-18, 3e-32, 1e-33), (0.2, 0.0, 3e-32, 1e-33),
+                                        (0.2, 1e-10, 1e-17, 1e-17), (0.5, 1e-10, 1e-17, 1e-17)])
     def test_rounding_level_sectors_match_singlet_formula(self, sector):
-        # 1 + m_low rounds to zero (first) or the gap at m_low does (second)
+        # 1 + m_low rounds to zero (first) or the gap at m_low does (second);
+        # in the last two the bracket resolves, but the root in m misses the
+        # stationarity tolerance and the shifted solve certifies instead
         from orbent.entanglement import SectorSpectrum, nssr_entanglement_singlet
 
         p = np.zeros(16)
