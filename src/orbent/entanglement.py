@@ -43,6 +43,7 @@ __all__ = [
     "nssr_entanglement_general",
     "pssr_entanglement",
     "entanglement_from_spectrum",
+    "closed_form_batch",
     "orbital_entanglement",
     "closest_separable_state",
     "mutual_information",
@@ -52,6 +53,19 @@ __all__ = [
 
 #: Rank threshold below which an entangled sector counts as degenerate.
 DEGENERATE_TOL = 1e-12
+
+
+def _checked_weights(w: np.ndarray) -> np.ndarray:
+    """Sector weights checked along the last axis, one spectrum or one per
+    row, and clipped at zero."""
+    total = w.sum(axis=-1)  # non-finite if any weight is
+    if np.count_nonzero(~(abs(total - 1.0) <= 1e-10)):  # counts non-finite totals too
+        if not np.isfinite(total).all():
+            raise ValueError("sector weights and coherences must be finite")
+        raise ValueError("sector weights must sum to one")
+    if w.size and w.min() < -1e-12:
+        raise ValueError("sector weights must be nonnegative")
+    return w.clip(0.0, None)
 
 
 @dataclass(frozen=True)
@@ -72,15 +86,9 @@ class SectorSpectrum:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (fock.DIM,):
             raise ValueError("expected 16 sector weights")
-        total = w.sum()  # non-finite if any weight is
-        if not (math.isfinite(total) and cmath.isfinite(self.spin_coherence)
-                and cmath.isfinite(self.pair_coherence)):
+        if not (cmath.isfinite(self.spin_coherence) and cmath.isfinite(self.pair_coherence)):
             raise ValueError("sector weights and coherences must be finite")
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError("sector weights must sum to one")
-        if w.min() < -1e-12:
-            raise ValueError("sector weights must be nonnegative")
-        w = np.clip(w, 0.0, None)
+        w = _checked_weights(w)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         tol = 1e-10
@@ -188,6 +196,14 @@ def _general_sector_solution(x: float, y: float, u: float, v: float,
     return value, (qx, qy, qu, qv), details
 
 
+def _check_closest(value: float, q: np.ndarray) -> None:
+    """Checks on one result: its closest separable weights and its value."""
+    if abs(q.sum() - 1.0) > 1e-10:
+        raise ValueError("closest separable weights must sum to one")
+    if value < -1e-12:
+        raise ValueError("entanglement must be nonnegative")
+
+
 @dataclass(frozen=True)
 class EntanglementResult:
     """Entanglement value in nats, the closest separable weights and the sector
@@ -204,12 +220,9 @@ class EntanglementResult:
 
     def __post_init__(self):
         q = np.asarray(self.closest_weights, dtype=float)
-        if abs(q.sum() - 1.0) > 1e-10:
-            raise ValueError("closest separable weights must sum to one")
+        _check_closest(self.value, q)
         q.setflags(write=False)
         object.__setattr__(self, "closest_weights", q)
-        if self.value < -1e-12:
-            raise ValueError("entanglement must be nonnegative")
 
 
 def _check_coherences(spectrum: SectorSpectrum, tol: float, twirl_coherence: bool,
@@ -239,22 +252,47 @@ def _check_coherences(spectrum: SectorSpectrum, tol: float, twirl_coherence: boo
     return twirled
 
 
-def _closed_form(spectrum: SectorSpectrum, variant: FormulaVariant, solvers: dict,
-                 tol: float, twirl_coherence: bool) -> EntanglementResult:
-    """Solve each constrained sector of a spectrum with its closed solution.
+#: Sector solutions by front end; under the parity rule, by (spin balanced,
+#: pair balanced), with the linear solution where the product weights balance.
+_SINGLET_PLAN = (FormulaVariant.NSSR_SINGLET, {"spin": _linear_sector_solution})
+_GENERAL_PLAN = (FormulaVariant.NSSR_GENERAL, {"spin": _general_sector_solution})
+_PARITY_PLANS = {
+    (spin, pair): (
+        FormulaVariant.PSSR_SYMMETRIC if spin and pair else FormulaVariant.PSSR_GENERAL,
+        {sector: _linear_sector_solution if balanced else _general_sector_solution
+         for sector, balanced in (("spin", spin), ("pair", pair))},
+    )
+    for spin in (False, True)
+    for pair in (False, True)
+}
 
-    ``solvers`` maps a sector name to its solution; weights outside those
-    sectors are their own closest separable weights.  A doublon coherence
-    outside the solved sectors must vanish.  Number-rule results carry the
-    spin sector's details, parity-rule results one entry per sector.
+
+def _plan(p: np.ndarray, formula: FormulaVariant, tol: float) -> tuple[FormulaVariant, dict]:
+    """Variant and sector solutions of the front end of ``formula`` for one
+    spectrum's weights ``p``.
+
+    The balance tests compare ``|w_up - w_down|`` and, under the parity rule,
+    ``|w_vacuum - w_full|`` with ``tol``.
     """
-    if "pair" not in solvers and abs(spectrum.pair_coherence) > tol:
-        raise InsufficientSymmetryError(
-            "doublon coherence present; apply the number-rule projection first"
-        )
-    twirled = _check_coherences(spectrum, tol, twirl_coherence, tuple(solvers))
-    p = spectrum.weights
-    q = p.copy()
+    if formula is FormulaVariant.NSSR_SINGLET:
+        if abs(p[TRIPLET_UP] - p[TRIPLET_DOWN]) > tol:
+            raise InsufficientSymmetryError(
+                "triplet weights are unbalanced; use the general formula"
+            )
+        return _SINGLET_PLAN
+    if formula is FormulaVariant.NSSR_GENERAL:
+        return _GENERAL_PLAN
+    return _PARITY_PLANS[bool(abs(p[TRIPLET_UP] - p[TRIPLET_DOWN]) <= tol),
+                         bool(abs(p[VACUUM] - p[FULL]) <= tol)]
+
+
+def _solve(p: np.ndarray, q: np.ndarray, solvers: dict) -> tuple[float, dict]:
+    """Solve each constrained sector of one spectrum with its closed solution.
+
+    Writes the sector's closest weights into ``q``, which holds the weights
+    ``p`` elsewhere: they are their own closest separable weights.  Returns
+    the value and the details of each sector.
+    """
     value = 0.0
     details = {}
     for name, solve in solvers.items():
@@ -262,6 +300,27 @@ def _closed_form(spectrum: SectorSpectrum, variant: FormulaVariant, solvers: dic
         sector_value, (q[x], q[y], q[u], q[v]), details[name + "_sector"] = solve(
             p[x], p[y], p[u], p[v])
         value += sector_value
+    return value, details
+
+
+def _closed_form(spectrum: SectorSpectrum, formula: FormulaVariant, tol: float,
+                 twirl_coherence: bool) -> EntanglementResult:
+    """The front end of ``formula`` on one spectrum: the row-wise code of
+    :func:`closed_form_batch` plus the coherence policy.
+
+    A doublon coherence outside the solved sectors must vanish.  Number-rule
+    results carry the spin sector's details, parity-rule results one entry
+    per sector.
+    """
+    p = spectrum.weights
+    variant, solvers = _plan(p, formula, tol)
+    if "pair" not in solvers and abs(spectrum.pair_coherence) > tol:
+        raise InsufficientSymmetryError(
+            "doublon coherence present; apply the number-rule projection first"
+        )
+    twirled = _check_coherences(spectrum, tol, twirl_coherence, tuple(solvers))
+    q = p.copy()
+    value, details = _solve(p, q, solvers)
     if spectrum.variant == "number":
         details = details["spin_sector"]
     return EntanglementResult(
@@ -284,13 +343,7 @@ def nssr_entanglement_singlet(spectrum: SectorSpectrum, tol: float = ssr.DETECTI
     """
     if spectrum.variant != "number":
         raise ValueError("singlet-case formula needs a number-variant spectrum")
-    p = spectrum.weights
-    if abs(p[TRIPLET_UP] - p[TRIPLET_DOWN]) > tol:
-        raise InsufficientSymmetryError(
-            "triplet weights are unbalanced; use the general formula"
-        )
-    return _closed_form(spectrum, FormulaVariant.NSSR_SINGLET,
-                        {"spin": _linear_sector_solution}, tol, twirl_coherence)
+    return _closed_form(spectrum, FormulaVariant.NSSR_SINGLET, tol, twirl_coherence)
 
 
 def nssr_entanglement_general(spectrum: SectorSpectrum, tol: float = ssr.DETECTION_TOL,
@@ -304,8 +357,7 @@ def nssr_entanglement_general(spectrum: SectorSpectrum, tol: float = ssr.DETECTI
     """
     if spectrum.variant != "number":
         raise ValueError("number-rule formula needs a number-variant spectrum")
-    return _closed_form(spectrum, FormulaVariant.NSSR_GENERAL,
-                        {"spin": _general_sector_solution}, tol, twirl_coherence)
+    return _closed_form(spectrum, FormulaVariant.NSSR_GENERAL, tol, twirl_coherence)
 
 
 def pssr_entanglement(spectrum: SectorSpectrum, tol: float = ssr.DETECTION_TOL,
@@ -320,19 +372,7 @@ def pssr_entanglement(spectrum: SectorSpectrum, tol: float = ssr.DETECTION_TOL,
     """
     if spectrum.variant != "parity":
         raise ValueError("parity-rule formula needs a parity-variant spectrum")
-    p = spectrum.weights
-    spin_balanced = abs(p[TRIPLET_UP] - p[TRIPLET_DOWN]) <= tol
-    pair_balanced = abs(p[VACUUM] - p[FULL]) <= tol
-    variant = (
-        FormulaVariant.PSSR_SYMMETRIC
-        if spin_balanced and pair_balanced
-        else FormulaVariant.PSSR_GENERAL
-    )
-    solvers = {
-        sector: _linear_sector_solution if balanced else _general_sector_solution
-        for sector, balanced in (("spin", spin_balanced), ("pair", pair_balanced))
-    }
-    return _closed_form(spectrum, variant, solvers, tol, twirl_coherence)
+    return _closed_form(spectrum, FormulaVariant.PSSR_GENERAL, tol, twirl_coherence)
 
 
 _FORMULA_DISPATCH = {
@@ -348,6 +388,41 @@ def entanglement_from_spectrum(spectrum: SectorSpectrum, variant: FormulaVariant
                                twirl_coherence: bool = False) -> EntanglementResult:
     """Evaluate a specific closed-formula variant on a sector spectrum."""
     return _FORMULA_DISPATCH[variant](spectrum, tol=tol, twirl_coherence=twirl_coherence)
+
+
+def _closed_form_rows(p: np.ndarray, variant: FormulaVariant) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`closed_form_batch` without its error ordering."""
+    p = _checked_weights(p)
+    q = p.copy()
+    values = np.empty(len(p))
+    for k, (row, q_row) in enumerate(zip(p, q)):
+        values[k], _ = _solve(row, q_row, _plan(row, variant, ssr.DETECTION_TOL)[1])
+        _check_closest(values[k], q_row)
+    return values, q
+
+
+def closed_form_batch(weights: np.ndarray,
+                      variant: FormulaVariant) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-formula values and closest separable weights of many spectra.
+
+    ``weights`` holds one spectrum per row: 16 sector weights in the
+    ``variant.ssr`` basis, without coherences.  Row ``k`` of the values and
+    of the closest weights equals, bit for bit, the result of
+    ``entanglement_from_spectrum(SectorSpectrum(weights[k], variant=variant.ssr),
+    variant)``, and a failing row raises that call's error (the first
+    failing row, when several fail).  The weight checks run over all rows at
+    once; the balance tests, sector solutions and result checks row by row.
+    """
+    p = np.asarray(weights, dtype=float)
+    if p.ndim != 2 or p.shape[1] != fock.DIM:
+        raise ValueError("expected one row of 16 sector weights per spectrum")
+    try:
+        return _closed_form_rows(p, variant)
+    except (OrbentError, ValueError):
+        if len(p) > 1:
+            for row in p:  # the row order of the scalar front end
+                _closed_form_rows(row[None], variant)
+        raise
 
 
 def orbital_entanglement(state: TwoOrbitalState, rule: str = "number",

@@ -106,7 +106,8 @@ def _solve_near_corner(a: float, b: float, c: float, d: float):
     With ``s = a + b`` and the symmetric point ``e_low = 2b/s``, stationarity
     reads ``2 e (2-e) w = s (e - e_low)`` and the boundary
     ``e (2-e) w^2 = (1-e)(c+d) w + c d``; their difference increases in ``e``
-    and changes sign on ``[e_low, 1]``.  Returns the frame weights and ``mu``.
+    and changes sign on ``[e_low, 1]``.  Returns the frame weights and the
+    stationarity residual of their certificate.
     """
     s = a + b
     e_low = 2.0 * b / s
@@ -123,7 +124,23 @@ def _solve_near_corner(a: float, b: float, c: float, d: float):
     # resolution, keep the smallest representable split
     qy = min(b / e if b > 0.0 else 0.0, float(np.nextafter(qx, 0.0)))
     w = (qx - qy) / 2.0
-    return (qx, qy, c + (1.0 - e) * w, d + (1.0 - e) * w), (e - 1.0) / w
+    mu = (e - 1.0) / w
+    q = (qx, qy, c + (1.0 - e) * w, d + (1.0 - e) * w)
+    resid = _kkt_residual((a, b, c, d), q, mu)
+    if resid > STATIONARITY_TOL and mu < 0.0:
+        # A stored split above the exact one leaves the boundary's product
+        # weights about 2e off stationarity.  Product weights stationary at
+        # the stored split, q_u = c + h and q_v = d + h with
+        # h^2 - (-1/mu - c - d) h + c d = 0, keep the boundary with slack.
+        beta = -1.0 / mu - c - d
+        disc = beta * beta - 4.0 * c * d
+        if beta > 0.0 and disc >= 0.0:
+            h = (beta + math.sqrt(disc)) / 2.0
+            q_stationary = (qx, qy, c + h, d + h)
+            resid_stationary = _kkt_residual((a, b, c, d), q_stationary, mu)
+            if resid_stationary <= STATIONARITY_TOL:
+                q, resid = q_stationary, resid_stationary
+    return q, resid
 
 
 def _solve_constrained_sector(p4) -> tuple[tuple[float, float, float, float], float]:
@@ -197,16 +214,14 @@ def _solve_constrained_sector(p4) -> tuple[tuple[float, float, float, float], fl
                 # loses the accuracy the certificate needs; the shifted solve
                 # may still certify.
                 try:
-                    q_corner, mu_corner = _solve_near_corner(a, b, c, d)
+                    q_corner, resid_corner = _solve_near_corner(a, b, c, d)
                 except OracleConvergenceError:
                     pass
                 else:
-                    resid_corner = _kkt_residual((a, b, c, d), q_corner, mu_corner)
                     if resid_corner <= STATIONARITY_TOL:
                         q_frame, resid = q_corner, resid_corner
         else:
-            q_frame, mu = _solve_near_corner(a, b, c, d)
-            resid = _kkt_residual((a, b, c, d), q_frame, mu)
+            q_frame, resid = _solve_near_corner(a, b, c, d)
 
     qx, qy, qu, qv = q_frame
     if flip_uv:

@@ -20,33 +20,59 @@ __all__ = [
 ]
 
 
+#: Draws one call of :func:`random_weights` makes before it gives up on a
+#: full-rank spectrum.
+MAX_ATTEMPTS = 1000
+
+
 def random_weights(rng: np.random.Generator, variant: str = "general",
-                   full_rank_floor: float = 1e-6) -> np.ndarray:
+                   full_rank_floor: float = 1e-6, size: int | None = None) -> np.ndarray:
     """Random sector-weight vector for one closed-formula variant.
 
     ``singlet`` balances the two polarized triplet weights; ``general`` and
     ``parity-general`` resample until the constrained sectors are full rank;
     ``parity-symmetric`` additionally balances the vacuum/full pair.
+
+    With ``size``, returns ``size`` rows: the vectors that ``size`` calls
+    without it would return, with ``rng`` left in the same state, rejected
+    draws and the failure after :data:`MAX_ATTEMPTS` rejections in a row
+    included.
     """
     if variant not in ("singlet", "general", "parity-general", "parity-symmetric"):
         raise ValueError(f"unknown spectrum variant {variant!r}")
-    for _ in range(1000):
-        p = rng.dirichlet(np.ones(fock.DIM))
-        if variant == "singlet":
-            balance = (p[TRIPLET_UP] + p[TRIPLET_DOWN]) / 2.0
-            p[TRIPLET_UP] = p[TRIPLET_DOWN] = balance
-            p /= p.sum()
-            return p
+    if size is not None and size < 0:
+        raise ValueError(f"size must be nonnegative, got {size}")
+    wanted = 1 if size is None else size
+    if variant in ("singlet", "parity-symmetric"):
+        p = rng.dirichlet(np.ones(fock.DIM), size=wanted)
+        pairs = ((TRIPLET_UP, TRIPLET_DOWN),)
         if variant == "parity-symmetric":
-            for pair in ((TRIPLET_UP, TRIPLET_DOWN), (VACUUM, FULL)):
-                balance = (p[pair[0]] + p[pair[1]]) / 2.0
-                p[pair[0]] = p[pair[1]] = balance
-            p /= p.sum()
-            return p
-        needed = fock.SPIN_SECTOR + (() if variant == "general" else fock.PAIR_SECTOR)
-        if min(p[list(needed)]) >= full_rank_floor:
-            return p
-    raise RuntimeError("failed to draw a full-rank spectrum")
+            pairs += ((VACUUM, FULL),)
+        for i, j in pairs:
+            p[:, i] = p[:, j] = (p[:, i] + p[:, j]) / 2.0
+        p /= p.sum(axis=1, keepdims=True)
+    else:
+        needed = list(fock.SPIN_SECTOR + (() if variant == "general" else fock.PAIR_SECTOR))
+        accepted = []
+        count = 0
+        rejected_in_a_row = 0
+        while count < wanted:
+            # never more draws than the calls still to make, nor past the
+            # draw on which the current call would give up
+            draws = rng.dirichlet(np.ones(fock.DIM),
+                                  size=min(wanted - count, MAX_ATTEMPTS - rejected_in_a_row))
+            full_rank = draws[:, needed].min(axis=1) >= full_rank_floor
+            hits = np.flatnonzero(full_rank)
+            if len(hits):
+                rejected_in_a_row = len(draws) - 1 - hits[-1]
+            else:
+                rejected_in_a_row += len(draws)
+            if rejected_in_a_row == MAX_ATTEMPTS:
+                raise RuntimeError("failed to draw a full-rank spectrum")
+            accepted.append(draws[full_rank])
+            count += len(hits)
+        p = np.concatenate(accepted) if accepted else np.empty((0, fock.DIM))
+    return p[0] if size is None else p
 
 
 def random_state(rng: np.random.Generator) -> TwoOrbitalState:

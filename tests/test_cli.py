@@ -7,9 +7,10 @@ import textwrap
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import orbent
-from orbent import cli, fock, lattice, stateio
+from orbent import cli, entanglement, fock, lattice, oracle, sampling, stateio
 from orbent.sampling import random_state
 
 from conftest import state_from_weights
@@ -130,6 +131,35 @@ class TestOracleVerifyCommand:
         assert payload["max_abs_delta"] <= 1e-6
         for variant in ("singlet", "general", "parity"):
             assert payload[variant]["n"] == 50
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_rejects_fewer_than_one_spectrum(self, n, capsys):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["oracle-verify", "--n", n])
+        assert stop.value.code == cli.EXIT_USAGE
+        assert f"argument --n: must be at least 1, got {n}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("chunk", [1000, 64])
+    def test_batch_matches_the_scalar_loop(self, chunk, monkeypatch, capsys):
+        # the formula side runs in batches of VERIFY_CHUNK spectra; the
+        # reference draws, builds and evaluates one spectrum at a time
+        monkeypatch.setattr(cli, "VERIFY_CHUNK", chunk)
+        code, out, _ = run(["oracle-verify", "--n", "200", "--seed", "13"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        rng = np.random.default_rng(13)
+        for variant, kind, rule, formula in (
+                ("singlet", "singlet", "number", entanglement.nssr_entanglement_singlet),
+                ("general", "general", "number", entanglement.nssr_entanglement_general),
+                ("parity", "parity-general", "parity", entanglement.pssr_entanglement)):
+            deltas = np.empty(200)
+            for k in range(200):
+                p = sampling.random_weights(rng, kind)
+                value = formula(entanglement.SectorSpectrum(p, variant=rule)).value
+                solution = oracle.kl_min_oracle(oracle.ConstrainedSimplexProblem(p, rule))
+                deltas[k] = abs(value - solution.value)
+            assert payload[variant]["max_abs_delta_nats"] == cli._sanitize(deltas.max())
+            assert payload[variant]["mean_abs_delta_nats"] == cli._sanitize(deltas.mean())
 
     def test_threshold_failure_exit(self, capsys):
         code, out, _ = run(

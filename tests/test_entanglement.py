@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -427,3 +428,111 @@ class TestResultWeights:
         assert res.method == method
         spectrum = ent.sector_spectrum(ssr.project(state, rule), res.basis_variant)
         assert np.array_equal(res.weights, spectrum.weights)
+
+
+def _row(sectors):
+    """Weights with the given spin (and pair) sector entries, in (x, y | u, v)
+    order; the remainder on a weight outside both constrained sectors."""
+    p = np.zeros(16)
+    for roles, entries in zip((fock.SPIN_SECTOR, fock.PAIR_SECTOR), sectors):
+        p[list(roles)] = entries
+    free = next(i for i in range(16) if i not in fock.SPIN_SECTOR + fock.PAIR_SECTOR)
+    p[free] = 1.0 - p.sum()
+    return p
+
+
+_TOL = ssr.DETECTION_TOL
+_DEG = ent.DEGENERATE_TOL
+
+
+class TestClosedFormBatch:
+    """``closed_form_batch`` against the scalar front ends, row by row."""
+
+    @staticmethod
+    def scalar(p, variant):
+        spectrum = ent.SectorSpectrum(p, variant=variant.ssr)
+        return ent.entanglement_from_spectrum(spectrum, variant)
+
+    # rows within 1e-12 of the separability boundary, on either side of
+    # DEGENERATE_TOL, and with a balance just inside the tolerance
+    EDGE_ROWS = {
+        ssr.FormulaVariant.NSSR_SINGLET: [
+            _row([(0.3, 0.1, 0.1 * (1 + 1e-12), 0.1 * (1 + 1e-12))]),
+            _row([(0.3, 0.1, 0.1 * (1 - 1e-12), 0.1 * (1 - 1e-12))]),
+            _row([(0.4, 0.05, _DEG * (1 + 1e-3), _DEG * (1 + 1e-3))]),
+            _row([(0.4, 0.05, _DEG * (1 - 1e-3), _DEG * (1 - 1e-3))]),
+            _row([(0.4, 0.05, 0.01 + _TOL * (1 - 1e-6), 0.01)]),
+        ],
+        ssr.FormulaVariant.NSSR_GENERAL: [
+            _row([(0.3, 0.1, 0.05, 0.2 * (1 + 1e-12))]),
+            _row([(0.3, 0.1, 0.05, 0.2 * (1 - 1e-12))]),
+            _row([(0.4, 0.05, _DEG * (1 + 1e-3), 0.01)]),
+            _row([(0.2, 0.2, _DEG * (1 - 1e-3), 0.3)]),  # separable
+        ],
+        ssr.FormulaVariant.PSSR_GENERAL: [
+            _row([(0.2, 0.02, 0.05 + _TOL * (1 - 1e-6), 0.05),
+                  (0.3, 0.05, 0.1 + _TOL * (1 - 1e-6), 0.1)]),
+            _row([(0.2, 0.02, 0.05 + _TOL * (1 + 1e-6), 0.05),
+                  (0.3, 0.05, 0.1 + _TOL * (1 - 1e-6), 0.1)]),
+            _row([(0.2, 0.02, 0.05 + _TOL * (1 - 1e-6), 0.05),
+                  (0.3, 0.05, 0.1 + _TOL * (1 + 1e-6), 0.1)]),
+            _row([(0.2, 0.02, 0.05 + _TOL * (1 + 1e-6), 0.05),
+                  (0.3, 0.05, 0.1 + _TOL * (1 + 1e-6), 0.1)]),
+            _row([(0.1, 0.3, 0.05, 0.2 * (1 - 1e-12)), (0.1, 0.05, 0.025, 0.025 * (1 + 1e-12))]),
+            _row([(0.3, 0.05, _DEG * (1 + 1e-3), 0.01), (0.2, 0.02, 0.02, 0.02)]),
+        ],
+    }
+    DRAWS = {
+        ssr.FormulaVariant.NSSR_SINGLET: ("singlet",),
+        ssr.FormulaVariant.NSSR_GENERAL: ("general", "singlet"),
+        ssr.FormulaVariant.PSSR_GENERAL: ("parity-general", "parity-symmetric"),
+    }
+
+    @pytest.mark.parametrize("variant", list(EDGE_ROWS))
+    def test_rows_equal_the_scalar_front_end(self, variant):
+        rng = np.random.default_rng(41)
+        weights = np.vstack([random_weights(rng, kind, size=100) for kind in self.DRAWS[variant]]
+                            + self.EDGE_ROWS[variant])
+        values, closest = ent.closed_form_batch(weights, variant)
+        assert values.shape == (len(weights),) and closest.shape == weights.shape
+        results = [self.scalar(p, variant) for p in weights]
+        assert values.tobytes() == np.array([r.value for r in results]).tobytes()
+        assert closest.tobytes() == np.array([r.closest_weights for r in results]).tobytes()
+        if variant.ssr == "parity":
+            # the rows take both parity-rule variants
+            assert {r.variant for r in results} == {ssr.FormulaVariant.PSSR_SYMMETRIC,
+                                                    ssr.FormulaVariant.PSSR_GENERAL}
+
+    FAILING_ROWS = [
+        (ssr.FormulaVariant.NSSR_SINGLET, _row([(0.4, 0.05, 0.01 + _TOL * (1 + 1e-6), 0.01)])),
+        (ssr.FormulaVariant.NSSR_GENERAL, _row([(0.4, 0.05, _DEG * (1 - 1e-3), 0.01)])),
+        (ssr.FormulaVariant.PSSR_GENERAL,
+         _row([(0.2, 0.02, 0.05, 0.04), (0.3, 0.05, 0.0, 0.1)])),
+        (ssr.FormulaVariant.NSSR_GENERAL, np.full(16, 0.9 / 16)),
+        (ssr.FormulaVariant.NSSR_SINGLET, np.where(np.arange(16) == 4, -1e-9, 1 / 15 + 1e-9 / 15)),
+        (ssr.FormulaVariant.PSSR_GENERAL, np.where(np.arange(16) == 2, np.nan, 1 / 16)),
+    ]
+
+    @pytest.mark.parametrize("variant, bad", FAILING_ROWS)
+    def test_failing_row_raises_the_scalar_error(self, variant, bad):
+        with pytest.raises(Exception) as scalar_error:
+            self.scalar(bad, variant)
+        rng = np.random.default_rng(5)
+        weights = random_weights(rng, self.DRAWS[variant][0], size=6)
+        weights[3] = bad
+        with pytest.raises(type(scalar_error.value), match=f"^{re.escape(str(scalar_error.value))}$"):
+            ent.closed_form_batch(weights, variant)
+
+    def test_first_failing_row_raises(self):
+        # a later row that fails an earlier check does not mask the first
+        weights = random_weights(np.random.default_rng(6), "general", size=5)
+        weights[1] = _row([(0.4, 0.05, _DEG * (1 - 1e-3), 0.01)])
+        weights[3] = np.full(16, 0.9 / 16)
+        with pytest.raises(DegenerateSectorError):
+            ent.closed_form_batch(weights, ssr.FormulaVariant.NSSR_GENERAL)
+
+    def test_shapes(self):
+        with pytest.raises(ValueError, match="one row of 16"):
+            ent.closed_form_batch(np.full(16, 1 / 16), ssr.FormulaVariant.NSSR_GENERAL)
+        values, closest = ent.closed_form_batch(np.empty((0, 16)), ssr.FormulaVariant.NSSR_GENERAL)
+        assert values.shape == (0,) and closest.shape == (0, 16)

@@ -101,11 +101,14 @@ class TestKlMinOracle:
         assert abs(sol.value - reference) < 1e-6
 
     @pytest.mark.parametrize("sector", [(0.2, 7e-18, 3e-32, 1e-33), (0.2, 0.0, 3e-32, 1e-33),
-                                        (0.2, 1e-10, 1e-17, 1e-17), (0.5, 1e-10, 1e-17, 1e-17)])
+                                        (0.2, 1e-10, 1e-17, 1e-17), (0.5, 1e-10, 1e-17, 1e-17),
+                                        (0.2, 1e-10, 1e-40, 1e-40)])
     def test_rounding_level_sectors_match_singlet_formula(self, sector):
         # 1 + m_low rounds to zero (first) or the gap at m_low does (second);
-        # in the last two the bracket resolves, but the root in m misses the
-        # stationarity tolerance and the shifted solve certifies instead
+        # in the next two the bracket resolves, but the root in m misses the
+        # stationarity tolerance and the shifted solve certifies instead; in
+        # the last, the split q_x - q_y is below the resolution of q_x, and
+        # only product weights stationary at the stored split certify
         from orbent.entanglement import SectorSpectrum, nssr_entanglement_singlet
 
         p = np.zeros(16)
