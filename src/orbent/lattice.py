@@ -37,7 +37,6 @@ __all__ = [
 ]
 
 MAX_SITES = 14
-MAX_SECTOR_DIM = 12_000_000
 #: Largest sector Hamiltonian, in stored CSR bytes, that a build may start;
 #: the build itself peaks at about twice this (measured at L = 12).
 MAX_HAMILTONIAN_BYTES = 512 * 2**20
@@ -69,8 +68,6 @@ class ChainSpec:
             raise ValueError("particle numbers must fit on the chain")
         if self.boundary not in ("open", "periodic"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
-        if math.comb(self.length, self.n_up) * math.comb(self.length, self.n_dn) > MAX_SECTOR_DIM:
-            raise ValueError("sector dimension exceeds the desk-scale budget")
 
     @property
     def bonds(self) -> tuple[tuple[int, int], ...]:

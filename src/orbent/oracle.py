@@ -1,10 +1,12 @@
 """Brute-force verification paths, independent of the closed formulas.
 
 The Kullback-Leibler minimizer here never touches the closed solutions: per
-constrained sector it first tests separability, then solves the stationarity
-system on the constraint surface by bracketing a single scalar (the product
-of the constraint multiplier and the sector asymmetry), with explicit corner
-solutions when the sector is rank deficient.  The Wick builder computes every
+constrained sector it first tests separability, then finds the point of the
+separability boundary where the stationarity system holds, as the bracketed
+root of one scalar equation.  The scalar is the distance from the symmetric
+point or the constraint multiplier, whichever is smaller, so that weights of
+1e-35 beside 1e-2 keep their relative precision; a sector without product
+weights is an explicit corner.  The Wick builder computes every
 density-matrix element as a sum over contraction pairings, independent of the
 constructive Gaussian route.
 """
@@ -77,15 +79,20 @@ class OracleSolution:
     stationarity_residual: float
 
 
-def _kkt_residual(p, q, mu) -> float:
+def _kkt_residual(p, q, w, mu) -> float:
     """Stationarity residual of the sector KKT system with unit mass multiplier.
 
-    On the active surface ``g = q_u q_v - ((q_x - q_y)/2)^2 = 0`` the system
-    reads ``-p_i/q_i + 1 + mu * dg/dq_i = 0`` for positive coordinates, and
-    ``1 + mu * dg/dq_i >= 0`` for coordinates pressed against zero.
+    On the active surface ``g = q_u q_v - w^2 = 0``, ``w = (q_x - q_y)/2``,
+    the system reads ``-p_i/q_i + 1 + mu * dg/dq_i = 0`` for positive
+    coordinates, and ``1 + mu * dg/dq_i >= 0`` for coordinates pressed against
+    zero.  ``w`` is the solve's own split, which may lie below the resolution
+    of the stored ``q_x`` and ``q_y``; the stored pair must reproduce it
+    within 4 ulps of ``q_x``.
     """
     x, y, u, v = q
-    grads = (-(x - y) / 2.0, (x - y) / 2.0, v, u)
+    if abs((x - y) - 2.0 * w) > 4.0 * math.ulp(x):
+        return math.inf
+    grads = (-w, w, v, u)
     resid = 0.0
     for pi, qi, gi in zip(p, q, grads):
         term = 1.0 + mu * gi
@@ -100,47 +107,12 @@ def _kkt_residual(p, q, mu) -> float:
     return resid
 
 
-def _solve_near_corner(a: float, b: float, c: float, d: float):
-    """Full-path solve for a root within rounding of ``m = -1``, in ``e = 1 + m``.
-
-    With ``s = a + b`` and the symmetric point ``e_low = 2b/s``, stationarity
-    reads ``2 e (2-e) w = s (e - e_low)`` and the boundary
-    ``e (2-e) w^2 = (1-e)(c+d) w + c d``; their difference increases in ``e``
-    and changes sign on ``[e_low, 1]``.  Returns the frame weights and the
-    stationarity residual of their certificate.
-    """
-    s = a + b
-    e_low = 2.0 * b / s
-
-    def excess(e: float) -> float:
-        k = (1.0 - e) * (c + d)
-        return s * (e - e_low) - k - math.sqrt(k * k + 4.0 * e * (2.0 - e) * c * d)
-
-    if not excess(1.0) > 0.0:
-        raise OracleConvergenceError("could not bracket the shifted sector multiplier")
-    e = brentq(excess, e_low, 1.0, xtol=1e-300, rtol=8.9e-16, maxiter=200)
-    qx = a / (2.0 - e)
-    # the certificate reads w from the stored q_x, q_y: below their
-    # resolution, keep the smallest representable split
-    qy = min(b / e if b > 0.0 else 0.0, float(np.nextafter(qx, 0.0)))
-    w = (qx - qy) / 2.0
-    mu = (e - 1.0) / w
-    q = (qx, qy, c + (1.0 - e) * w, d + (1.0 - e) * w)
-    resid = _kkt_residual((a, b, c, d), q, mu)
-    if resid > STATIONARITY_TOL and mu < 0.0:
-        # A stored split above the exact one leaves the boundary's product
-        # weights about 2e off stationarity.  Product weights stationary at
-        # the stored split, q_u = c + h and q_v = d + h with
-        # h^2 - (-1/mu - c - d) h + c d = 0, keep the boundary with slack.
-        beta = -1.0 / mu - c - d
-        disc = beta * beta - 4.0 * c * d
-        if beta > 0.0 and disc >= 0.0:
-            h = (beta + math.sqrt(disc)) / 2.0
-            q_stationary = (qx, qy, c + h, d + h)
-            resid_stationary = _kkt_residual((a, b, c, d), q_stationary, mu)
-            if resid_stationary <= STATIONARITY_TOL:
-                q, resid = q_stationary, resid_stationary
-    return q, resid
+def _brentq(f, lo: float, hi: float) -> float:
+    root, info = brentq(f, lo, hi, xtol=5e-324, rtol=8.9e-16, maxiter=400,
+                        full_output=True, disp=False)
+    if not info.converged:
+        raise OracleConvergenceError(f"sector solve did not converge: {info.flag}")
+    return root
 
 
 def _solve_constrained_sector(p4) -> tuple[tuple[float, float, float, float], float]:
@@ -149,86 +121,70 @@ def _solve_constrained_sector(p4) -> tuple[tuple[float, float, float, float], fl
     ``p4 = (x, y, u, v)`` with constraint ``u v >= ((x - y)/2)^2``; the sector
     mass is fixed by the block-decomposition argument, so the solve is local
     to the four weights.  Returns the optimal weights and the stationarity
-    residual of the certificate.
+    residual of their certificate.
+
+    With ``a >= b`` the coherence pair, ``c, d`` the product weights,
+    ``s = a + b`` and ``r = (a - b)/s``, stationarity puts the optimum at
+    ``q = (a/(1+k), b/e, c + k w, d + k w)`` with ``e = 1 - k`` and
+    ``w = s delta / (2 (1+k) e)``, where ``k`` runs from ``r`` at the
+    symmetric point (``delta = r - k = 0``) to 0 at the target.  The boundary
+    ``q_u q_v = w^2`` leaves one equation,
+    ``s delta = k (c+d) + sqrt((k (c+d))^2 + 4 e (1+k) c d)``, whose excess
+    increases in ``delta``.  It is bracketed in ``delta`` on the half of
+    ``[0, r]`` next to the symmetric point and in ``k`` on the other half, so
+    ``k``, ``e = 2b/s + delta`` and ``delta`` all keep full relative
+    precision, and every weight is a sum of non-negative terms.
     """
-    x0, y0, u0, v0 = p4
-    if u0 * v0 >= ((x0 - y0) / 2.0) ** 2:
-        return (x0, y0, u0, v0), 0.0
+    x0, y0, c, d = p4
+    if c * d >= ((x0 - y0) / 2.0) ** 2:
+        return (x0, y0, c, d), 0.0
 
-    flip_xy = y0 > x0
-    a, b = (y0, x0) if flip_xy else (x0, y0)
-    flip_uv = u0 == 0.0 and v0 > 0.0
-    c, d = (v0, u0) if flip_uv else (u0, v0)
-
-    mu = None
+    flip = y0 > x0
+    a, b = (y0, x0) if flip else (x0, y0)
+    s = a + b
     if c == 0.0 and d == 0.0:
         # Any feasible point obeys q_x <= mass/2 (from x - y <= u + v), so
         # both KL terms are minimized at the equal split; exact optimum.
-        s = a + b
-        q_frame = (s / 2.0, s / 2.0, 0.0, 0.0)
-        resid = 0.0
-    elif d == 0.0:
-        # One product weight structurally zero: stationarity becomes linear.
-        k = (a - b) / (a + b + 2.0 * c)
-        denom = 1.0 - k * k
-        q_frame = (a / (1.0 + k), b / (1.0 - k), c / denom, c * k * k / denom)
-        mu = -1.0 / q_frame[2]
-        resid = _kkt_residual((a, b, c, 0.0), q_frame, mu)
+        return (s / 2.0, s / 2.0, 0.0, 0.0), 0.0
+
+    r = (a - b) / s
+    e_low = 2.0 * b / s
+
+    def excess(k: float, delta: float, e: float) -> float:
+        kcd = k * (c + d)
+        return s * delta - kcd - math.sqrt(kcd * kcd + 4.0 * e * (1.0 + k) * c * d)
+
+    half = r / 2.0
+    if excess(r - half, half, e_low + half) > 0.0:
+        delta = _brentq(lambda t: excess(r - t, t, e_low + t), 0.0, half)
+        k, e = r - delta, e_low + delta
+    elif excess(0.0, r, 1.0) > 0.0:
+        k = _brentq(lambda t: excess(t, r - t, 1.0 - t), 0.0, half)
+        delta, e = r - k, 1.0 - k
     else:
-        # Full path: stationarity with unit mass multiplier, parametrized by
-        # m = mu * w where w = (q_x - q_y)/2.  The boundary gap changes sign
-        # between the symmetric point (w = 0) and the unconstrained optimum
-        # (m = 0), which brackets the root.
-        def w_of(m: float) -> float:
-            width = a / (1.0 - m)
-            if b > 0.0:
-                width -= b / (1.0 + m)
-            return width / 2.0
-
-        def boundary_gap(m: float) -> float:
-            w = w_of(m)
-            return (c - m * w) * (d - m * w) - w * w
-
-        m_low = -(a - b) / (a + b) if b > 0.0 else -1.0
-        # Rounding-level weights round 1 + m_low or the gap at m_low to zero;
-        # their root lies within rounding of m = -1 and is solved in e = 1 + m.
-        gap_low = boundary_gap(m_low) if b == 0.0 or m_low > -1.0 else 0.0
-        if gap_low > 0.0:
-            gap_high = boundary_gap(0.0)
-            if not gap_high < 0.0:
-                raise OracleConvergenceError(
-                    f"could not bracket the sector multiplier: gaps ({gap_low:.3e}, {gap_high:.3e})"
-                )
-            m_star = brentq(boundary_gap, m_low, 0.0, xtol=1e-16, rtol=8.9e-16, maxiter=200)
-            w = w_of(m_star)
-            q_frame = (
-                a / (1.0 - m_star),
-                b / (1.0 + m_star) if b > 0.0 else 0.0,
-                c - m_star * w,
-                d - m_star * w,
-            )
-            mu = m_star / w
-            resid = _kkt_residual((a, b, c, d), q_frame, mu)
-            if resid > STATIONARITY_TOL:
-                # Near rounding level the bracket resolves but the root in m
-                # loses the accuracy the certificate needs; the shifted solve
-                # may still certify.
-                try:
-                    q_corner, resid_corner = _solve_near_corner(a, b, c, d)
-                except OracleConvergenceError:
-                    pass
-                else:
-                    if resid_corner <= STATIONARITY_TOL:
-                        q_frame, resid = q_corner, resid_corner
-        else:
-            q_frame, resid = _solve_near_corner(a, b, c, d)
-
-    qx, qy, qu, qv = q_frame
-    if flip_uv:
-        qu, qv = qv, qu
-    if flip_xy:
+        # the target sits on the boundary within rounding: the root is k = 0
+        k, delta, e = 0.0, r, 1.0
+    w = s * delta / (2.0 * (1.0 + k) * e) if delta > 0.0 else 0.0
+    if not w > 0.0:
+        raise OracleConvergenceError("sector solve collapsed to the symmetric point")
+    qx, qy, qu, qv = a / (1.0 + k), b / e, c + k * w, d + k * w
+    resid = _kkt_residual((a, b, c, d), (qx, qy, qu, qv), w, -k / w)
+    if flip:
         qx, qy = qy, qx
     return (qx, qy, qu, qv), resid
+
+
+def _kl_term(p: float, q: float) -> float:
+    """``p log(p/q) - p + q``; the terms of a mass shell sum to its KL divergence.
+
+    The exact term is never negative, so a negative rounding residue is
+    dropped.
+    """
+    if p == 0.0:
+        return q
+    gap = p - q
+    log_ratio = math.log1p(gap / q) if abs(gap) < q / 2.0 else math.log(p / q)
+    return max(0.0, p * log_ratio - gap)
 
 
 def kl_min_oracle(problem: ConstrainedSimplexProblem) -> OracleSolution:
@@ -239,11 +195,13 @@ def kl_min_oracle(problem: ConstrainedSimplexProblem) -> OracleSolution:
     mass shell.  The solution is certified by its feasibility and
     stationarity residuals and by a positive weight wherever the target is
     positive (a finite value); certification failure raises, never returning
-    a silent wrong answer.
+    a silent wrong answer.  The value sums ``p log(p/q) - p + q`` over the
+    solved sectors, term by term, so it is never negative.
     """
     p = problem.target
     q = p.copy()
     stationarity = 0.0
+    solved = []
     for roles in problem.sectors:
         p4 = tuple(float(p[i]) for i in roles)
         q4, resid = _solve_constrained_sector(p4)
@@ -253,6 +211,7 @@ def kl_min_oracle(problem: ConstrainedSimplexProblem) -> OracleSolution:
                     "solution not certified: zero weight where the target is positive"
                 )
             q[i] = qi
+        solved.extend(zip(p4, q4))
         stationarity = max(stationarity, resid)
 
     feasibility = abs(q.sum() - 1.0)
@@ -269,8 +228,7 @@ def kl_min_oracle(problem: ConstrainedSimplexProblem) -> OracleSolution:
             f"stationarity {stationarity:.3e}"
         )
 
-    mask = p > 0.0
-    value = float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+    value = math.fsum(_kl_term(pi, qi) for pi, qi in solved)
     return OracleSolution(
         value=value,
         weights=q,

@@ -102,13 +102,13 @@ class TestKlMinOracle:
 
     @pytest.mark.parametrize("sector", [(0.2, 7e-18, 3e-32, 1e-33), (0.2, 0.0, 3e-32, 1e-33),
                                         (0.2, 1e-10, 1e-17, 1e-17), (0.5, 1e-10, 1e-17, 1e-17),
-                                        (0.2, 1e-10, 1e-40, 1e-40)])
+                                        (0.2, 1e-10, 1e-40, 1e-40),
+                                        (0.012721015645750167, 0.003528476416942447,
+                                         5.822115654550071e-35, 1.8250210499963147e-40)])
     def test_rounding_level_sectors_match_singlet_formula(self, sector):
-        # 1 + m_low rounds to zero (first) or the gap at m_low does (second);
-        # in the next two the bracket resolves, but the root in m misses the
-        # stationarity tolerance and the shifted solve certifies instead; in
-        # the last, the split q_x - q_y is below the resolution of q_x, and
-        # only product weights stationary at the stored split certify
+        # partner and product weights at rounding level beside the coherence
+        # weight: the optimal split q_x - q_y lies below the resolution of q_x
+        # in the fifth, and the product weights are 1e-35 beside 1e-2 in the last
         from orbent.entanglement import SectorSpectrum, nssr_entanglement_singlet
 
         p = np.zeros(16)
@@ -118,6 +118,64 @@ class TestKlMinOracle:
         formula = nssr_entanglement_singlet(SectorSpectrum(p))
         assert math.isfinite(sol.value)
         assert abs(sol.value - formula.value) < 1e-12
+        # the singlet formula's linear solution is the optimum when u = v and
+        # is off by about |u - v| in the product weights otherwise
+        products = [fock.TRIPLET_UP, fock.TRIPLET_DOWN]
+        if abs(sector[2] - sector[3]) <= 1e-9 * formula.closest_weights[products].min():
+            assert_allclose(sol.weights[products], formula.closest_weights[products],
+                            rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("rule, roles, rest, seed", [
+        ("number", fock.SPIN_SECTOR, fock.VACUUM, 0),
+        ("parity", fock.PAIR_SECTOR, 1, 3),
+    ], ids=["spin-sector", "pair-sector"])
+    def test_rounding_level_sweep_certifies(self, rule, roles, rest, seed):
+        # 20,000 sectors with weights scaled by 10^U(-40, 0) and a 1,470-sector
+        # grid of rounding-level partner and product weights; the rest of the
+        # mass sits outside the constrained sectors (a sector that draws more
+        # than unit mass is scaled to unit mass)
+        rng = np.random.default_rng(seed)
+        drawn = [rng.random(4) * 10.0 ** rng.uniform(-40, 0, 4) for _ in range(20_000)]
+        tiny = (1e-40, 1e-35, 1e-30, 1e-25, 1e-20, 1e-17, 1e-15)
+        grid = [(x, y, u, v) for x in (0.2, 0.5, 0.9)
+                for y in [0.0] + [10.0 ** -n for n in range(18, 9, -1)]
+                for u in tiny for v in tiny]
+        assert len(grid) == 1470
+        refused = []
+        for sector in drawn + grid:
+            p = np.zeros(16)
+            p[list(roles)] = sector
+            mass = p.sum()
+            if mass > 1.0:
+                p /= mass
+            p[rest] = max(0.0, 1.0 - p.sum())
+            try:
+                sol = oracle.kl_min_oracle(oracle.ConstrainedSimplexProblem(p, rule))
+            except OracleConvergenceError:
+                refused.append(tuple(sector))
+                continue
+            assert sol.value >= 0.0, sector
+        assert refused == []
+
+    @pytest.mark.parametrize("sector", [
+        (0.3, 0.0, 1e-310, 0.0), (0.3, 0.0, 1e-310, 1e-320), (0.3, 0.1, 5e-324, 0.0),
+        (0.3, 0.1, 5e-324, 5e-324), (0.3, 5e-324, 5e-324, 5e-324),
+        (0.3, 0.29999999999999993, 1e-300, 1e-300), (0.3, 1e-310, 1e-200, 1e-250),
+    ])
+    @pytest.mark.parametrize("rule, roles, rest", [
+        ("number", fock.SPIN_SECTOR, fock.VACUUM), ("parity", fock.PAIR_SECTOR, 1),
+    ], ids=["spin-sector", "pair-sector"])
+    def test_subnormal_sectors_certify_or_refuse(self, sector, rule, roles, rest):
+        # subnormal weights round the root or the split to zero: a typed
+        # refusal is an answer, any other exception is not
+        p = np.zeros(16)
+        p[list(roles)] = sector
+        p[rest] = 1.0 - p.sum()
+        try:
+            sol = oracle.kl_min_oracle(oracle.ConstrainedSimplexProblem(p, rule))
+        except OracleConvergenceError:
+            return
+        assert sol.value >= 0.0
 
     def test_zero_weight_under_positive_target_is_not_certified(self, monkeypatch):
         # a solver that drops a rounding-level partner weight returns q_y = 0
@@ -167,6 +225,10 @@ class TestKlMinOracle:
             formula = nssr_entanglement_general(SectorSpectrum(p))
             assert 0.0 < sol.value < 1e-2
             assert abs(sol.value - formula.value) < 1e-9
+            if eps == 1e-9:
+                # leading order eps'^2 / m with eps' = eps/2 and m = 0.25 + eps'
+                half = eps / 2.0
+                assert abs(sol.value - half * half / (0.25 + half)) <= 1e-24
         for tiny in (1e-10, 1e-7):
             p = np.zeros(16)
             p[fock.SINGLET] = 0.5
