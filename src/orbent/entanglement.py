@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,15 +99,77 @@ class SectorSpectrum:
             raise ValueError("pair coherence violates 2x2 block positivity")
 
 
+class _BasisReads(NamedTuple):
+    """Where the weights and coherences of a real symmetry basis sit in the
+    product-basis matrix (see :func:`_basis_reads`)."""
+
+    diagonal: np.ndarray   # product-basis index per basis vector
+    entries: np.ndarray    # flat matrix indices the sums below read
+    sums: tuple            # (vector, ((entry, v_j, v_k), ...)) in row-major (j, k) order
+    coherences: tuple      # per coherence, ((entry, u_j) per j, w_k) per k
+
+
+def _basis_reads(v: np.ndarray) -> _BasisReads:
+    """Read tables of the basis with real columns ``v``.
+
+    A column ``e_p`` weighs ``m[p, p]``; any other column's weight sums
+    ``(v_j m_jk) v_k`` over its support.  A coherence ``<u|m|w>`` of two
+    columns sums ``(sum_j u_j m_jk) w_k`` over their joint support.
+    """
+    entries: list[int] = []
+
+    def entry(j: int, k: int) -> int:
+        entries.append(j * fock.DIM + k)
+        return len(entries) - 1
+
+    support = [np.flatnonzero(v[:, i]).tolist() for i in range(fock.DIM)]
+    v = v.tolist()
+    sums = tuple(
+        (i, tuple((entry(j, k), v[j][i], v[k][i]) for j in s for k in s))
+        for i, s in enumerate(support) if len(s) > 1 or v[s[0]][i] != 1.0
+    )
+    coherences = []
+    for left, right in ((SINGLET, TRIPLET_ZERO), (DOUBLE_A, DOUBLE_B)):
+        joint = sorted(set(support[left] + support[right]))
+        coherences.append(tuple(
+            (tuple((entry(j, k), v[j][left]) for j in joint), v[k][right]) for k in joint))
+    return _BasisReads(np.array([s[0] for s in support]), np.array(entries), sums,
+                       tuple(coherences))
+
+
+#: Read tables of the two bases of :func:`fock.build_symmetry_basis`.
+_READS = {variant: _basis_reads(fock.build_symmetry_basis(variant).vectors)
+          for variant in ("number", "parity")}
+
+
 def sector_spectrum(state: TwoOrbitalState, basis: SymmetryEigenbasis | str = "number") -> SectorSpectrum:
-    """Diagonal weights and coherences of a state in a symmetry eigenbasis."""
+    """Diagonal weights and coherences of a state in a symmetry eigenbasis,
+    one of the two of :func:`fock.build_symmetry_basis` or its variant name.
+
+    Both are read off fixed entries of the product-basis matrix ``m``, with
+    the bits of the dense forms.  The weight of a product-state basis vector
+    is a diagonal entry of ``m``, as in
+    ``np.einsum("ji,jk,ki->i", v.conj(), m, v)``.  The weight of a
+    two-component vector (singlet, triplet-zero and, in the parity basis,
+    the two doublon combinations) sums ``(v_j m_jk) v_k`` over its four
+    ``(j, k)`` in row-major order, as that einsum does.  A coherence
+    ``<u|m|w>`` sums ``(sum_j u_j m_jk) w_k``, the product order of
+    ``u @ m @ w``.
+    """
     if isinstance(basis, str):
         basis = fock.build_symmetry_basis(basis)
+    reads = _READS[basis.variant]
     m = state.matrix
-    v = basis.vectors
-    weights = np.real(np.einsum("ji,jk,ki->i", v.conj(), m, v))
-    b = complex(v[:, SINGLET].conj() @ m @ v[:, TRIPLET_ZERO])
-    b_pair = complex(v[:, DOUBLE_A].conj() @ m @ v[:, DOUBLE_B])
+    weights = m.diagonal().real[reads.diagonal]
+    entries = m.take(reads.entries).tolist()
+    for i, terms in reads.sums:
+        total = 0.0
+        for k, v_j, v_k in terms:
+            total += (v_j * entries[k].real) * v_k
+        weights[i] = total
+    b, b_pair = (sum(sum(u_j * entries[k] for k, u_j in column) * w_k
+                     for column, w_k in coherence)
+                 for coherence in reads.coherences)
     return SectorSpectrum(weights, b, b_pair, basis.variant)
 
 
@@ -425,6 +488,10 @@ def closed_form_batch(weights: np.ndarray,
         raise
 
 
+#: Flat indices of the off-diagonal entries of a 16x16 matrix.
+_OFF_DIAGONAL = np.flatnonzero(~np.eye(fock.DIM, dtype=bool))
+
+
 def orbital_entanglement(state: TwoOrbitalState, rule: str = "number",
                          tol: float = ssr.DETECTION_TOL,
                          twirl_coherence: bool = False,
@@ -436,10 +503,15 @@ def orbital_entanglement(state: TwoOrbitalState, rule: str = "number",
     entangled sector falls back to the brute-force minimizer unless
     ``fallback_oracle`` is disabled; missing symmetries always raise
     :class:`InsufficientSymmetryError`.
+
+    The state is pinched once; the classical-mixture test, the symmetry
+    detection and the spectrum all read the pinched matrix.  Results of the
+    closed formula and of the oracle fallback carry the
+    :class:`~orbent.ssr.SymmetryReport` they were selected by as
+    ``details["symmetries"]``.
     """
     projected = ssr.project(state, rule)
-    off_diagonal = projected.matrix - np.diag(np.diag(projected.matrix))
-    if np.abs(off_diagonal).max() <= tol:
+    if np.abs(projected.matrix.take(_OFF_DIAGONAL)).max() <= tol:
         # occupation-diagonal states are classical mixtures of products:
         # unentangled, and their own closest separable state
         weights = sector_spectrum(projected, "number").weights
@@ -455,8 +527,8 @@ def orbital_entanglement(state: TwoOrbitalState, rule: str = "number",
     variant = ssr.select_formula(report, rule)
     spectrum = sector_spectrum(projected, variant.ssr)
     try:
-        return entanglement_from_spectrum(spectrum, variant, tol=tol,
-                                          twirl_coherence=twirl_coherence)
+        result = entanglement_from_spectrum(spectrum, variant, tol=tol,
+                                            twirl_coherence=twirl_coherence)
     except DegenerateSectorError:
         if not fallback_oracle:
             raise
@@ -473,8 +545,11 @@ def orbital_entanglement(state: TwoOrbitalState, rule: str = "number",
                 "selected_variant": variant.value,
                 "feasibility_residual": solution.feasibility_residual,
                 "stationarity_residual": solution.stationarity_residual,
+                "symmetries": report,
             },
         )
+    result.details["symmetries"] = report
+    return result
 
 
 def closest_separable_state(state: TwoOrbitalState, rule: str = "number",

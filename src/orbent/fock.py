@@ -218,16 +218,18 @@ class TwoOrbitalState:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (DIM, DIM):
             raise ValueError(f"expected a {DIM}x{DIM} matrix, got {m.shape}")
+        adjoint = m.conj().T
         if self.validate:
             if not np.isfinite(m).all():
                 raise ValueError("matrix has non-finite entries")
-            if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
+            if np.abs(m - adjoint).max() > HERMITICITY_TOL:
                 raise ValueError("matrix is not Hermitian within tolerance")
-            if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
+            trace = np.trace(m)
+            if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
                 raise ValueError("matrix does not have unit trace")
             if np.linalg.eigvalsh(m).min() < -PSD_TOL:
                 raise ValueError("matrix is not positive semidefinite within tolerance")
-        m = (m + m.conj().T) / 2.0
+        m = (m + adjoint) / 2.0
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -153,33 +153,70 @@ class SymmetryReport:
         return out
 
 
-#: Diagonals of the particle-number and magnetization operators.
-_NUMBER = np.diag(fock.build_operator("number"))
-_SZ = np.diag(fock.build_operator("sz"))
 # Product-basis indices of |up,up>, |down,down>, the vacuum and the filled
 # state: these number-basis vectors are product states, so their weights are
 # diagonal entries of the density matrix.
 _UP_UP, _DOWN_DOWN, _EMPTY, _FILLED = 5, 10, 0, 15
+# |up,down> and |down,up>: S^2 has 1 on their two diagonal entries and
+# couples them with 1; it is diagonal everywhere else.
+_UP_DOWN, _DOWN_UP = 6, 9
+#: Diagonals of the particle-number, magnetization and total-spin operators,
+#: complex as the products with a complex matrix cast them.
+_DIAGONALS = np.stack([np.diag(fock.build_operator(tag))
+                       for tag in ("number", "sz", "total_spin")]).astype(complex)
+_LEFT, _RIGHT = _DIAGONALS[:, None, :], _DIAGONALS[:, :, None]
 
 
-def _diagonal_commutator_norm(matrix: np.ndarray, diagonal: np.ndarray) -> float:
-    """Norm of ``[matrix, diag(diagonal)]``, elementwise from the products the
-    dense commutator forms, so both give the same bits."""
-    return float(np.linalg.norm(matrix * diagonal - diagonal[:, None] * matrix))
+def _mirror_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The reflection is a signed permutation, ``R[i, p_i] = s_i``, so
+    ``(R m R^T)[i, j] = s_i s_j m[p_i, p_j]``: the flat indices of those
+    entries and their signs."""
+    r = fock.reflection_operator()
+    p = np.argmax(np.abs(r), axis=1)
+    s = r[np.arange(fock.DIM), p]
+    return p[:, None] * fock.DIM + p[None, :], (s[:, None] * s[None, :]).astype(complex)
+
+
+_MIRRORED, _MIRROR_SIGNS = _mirror_tables()
+
+
+def _commutator_norms(matrix: np.ndarray) -> list[float]:
+    """Norms of ``matrix Q - Q matrix`` for the number, magnetization and
+    total-spin operators ``Q``, with the bits of the dense products.
+
+    Each entry of either product is one entry of ``matrix`` times a diagonal
+    entry of ``Q``, except for S^2 in the two exchange columns of
+    ``matrix S^2`` and the two exchange rows of ``S^2 matrix``: those are
+    the sum of the two exchange columns (rows) of ``matrix``, since products
+    by 1 are exact.
+    """
+    left = matrix * _LEFT
+    right = _RIGHT * matrix
+    left[2][:, _UP_DOWN] = left[2][:, _DOWN_UP] = matrix[:, _UP_DOWN] + matrix[:, _DOWN_UP]
+    right[2][_UP_DOWN] = right[2][_DOWN_UP] = matrix[_UP_DOWN] + matrix[_DOWN_UP]
+    return [float(np.linalg.norm(c)) for c in left - right]
 
 
 def detect_symmetries(state: TwoOrbitalState, tol: float = DETECTION_TOL) -> SymmetryReport:
-    """Measure the symmetries that gate the closed entanglement formulas."""
+    """Measure the symmetries that gate the closed entanglement formulas.
+
+    Every residual is read off fixed index tables of the product basis and
+    has the bits of its dense form: ``np.linalg.norm`` of ``m Q - Q m`` for
+    the number, magnetization and total-spin operators ``Q``
+    (:func:`_commutator_norms`) and of ``R m R^T - m`` for the reflection
+    ``R``, whose entries are signed entries of ``m``.  The two balances are
+    differences of diagonal entries, which are the weights of the product
+    states |up,up>, |down,down>, vacuum and filled.
+    """
     m = state.matrix
-    reflection = fock.reflection_operator()
-    s2 = fock.build_operator("total_spin")
     weights = m.diagonal().real
+    number, magnetization, total_spin = _commutator_norms(m)
 
     checks = {
-        "number": _diagonal_commutator_norm(m, _NUMBER),
-        "magnetization": _diagonal_commutator_norm(m, _SZ),
-        "total_spin": float(np.linalg.norm(m @ s2 - s2 @ m)),
-        "reflection": float(np.linalg.norm(reflection @ m @ reflection.T - m)),
+        "number": number,
+        "magnetization": magnetization,
+        "total_spin": total_spin,
+        "reflection": float(np.linalg.norm(m.take(_MIRRORED) * _MIRROR_SIGNS - m)),
         "triplet_balance": abs(weights[_UP_UP] - weights[_DOWN_DOWN]),
         "particle_hole_balance": abs(weights[_EMPTY] - weights[_FILLED]),
     }

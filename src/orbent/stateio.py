@@ -37,7 +37,7 @@ def state_from_dict(data: dict) -> TwoOrbitalState:
     if data.get("basis") != SCHEMA_BASIS:
         raise ValueError(f"expected basis {SCHEMA_BASIS!r}, got {data.get('basis')!r}")
     real = np.asarray(data["re"], dtype=float)
-    imag = np.asarray(data.get("im", np.zeros_like(real)), dtype=float)
+    imag = np.asarray(data["im"], dtype=float) if "im" in data else np.zeros_like(real)
     if real.shape != (fock.DIM, fock.DIM) or imag.shape != (fock.DIM, fock.DIM):
         raise ValueError("matrix entries must form 16x16 arrays")
     return TwoOrbitalState(real + 1j * imag)

@@ -429,6 +429,21 @@ class TestResultWeights:
         spectrum = ent.sector_spectrum(ssr.project(state, rule), res.basis_variant)
         assert np.array_equal(res.weights, spectrum.weights)
 
+    @pytest.mark.parametrize("weights, rule, method", [
+        ({fock.SINGLET: 0.5, fock.TRIPLET_ZERO: 0.1, fock.TRIPLET_UP: 0.1,
+          fock.TRIPLET_DOWN: 0.1}, "number", "closed-form"),
+        ({fock.SINGLET: 0.5, fock.TRIPLET_ZERO: 0.1, fock.TRIPLET_UP: 0.1,
+          fock.TRIPLET_DOWN: 0.1}, "parity", "closed-form"),
+        ({fock.SINGLET: 0.55, fock.TRIPLET_ZERO: 0.05, fock.TRIPLET_UP: 0.12},
+         "number", "oracle"),
+    ])
+    def test_result_carries_the_symmetry_report_it_was_selected_by(self, weights, rule,
+                                                                   method):
+        state = state_from_weights(weights_with(weights))
+        res = ent.orbital_entanglement(state, rule, tol=1e-9)
+        assert res.method == method
+        assert res.details["symmetries"] == ssr.detect_symmetries(ssr.project(state, rule), 1e-9)
+
 
 def _row(sectors):
     """Weights with the given spin (and pair) sector entries, in (x, y | u, v)

@@ -1,18 +1,26 @@
 """Property tests at the tolerance edges: the closed formulas against the KL
 oracle beside the separability boundary and beside ``DEGENERATE_TOL``,
-superselection monotonicity, and the oracle's certify-or-refuse contract on
-arbitrary sectors.  Derandomized, so every run draws the same examples."""
+superselection monotonicity, the oracle's certify-or-refuse contract on
+arbitrary sectors, the simplex guard of the general sector solution, and the
+state-file round trip and its rejection of malformed input.  Derandomized, so
+every run draws the same examples."""
 
+import contextlib
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from orbent import cli, fock, oracle, sampling, stateio
 from orbent import entanglement as ent
-from orbent import fock, oracle, sampling
-from orbent.errors import DegenerateSectorError, OracleConvergenceError
+from orbent.errors import DegenerateSectorError, OracleConvergenceError, OrbentError
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -101,3 +109,110 @@ def test_oracle_certifies_or_refuses_any_sector(sector, parity):
     except OracleConvergenceError:
         return
     assert sol.value >= 0.0
+
+
+class _RaisedRoot:
+    """``math`` for :mod:`orbent.entanglement` with every square root raised
+    by ``shift``; the general sector solution takes one, of its ``C``."""
+
+    log = staticmethod(math.log)
+
+    def __init__(self, shift: float):
+        self.shift = shift
+
+    def sqrt(self, x: float) -> float:
+        return math.sqrt(x) + self.shift
+
+
+@PROPERTY
+@given(a=st.floats(0.3, 0.6), u=st.floats(0.01, 0.1), v=st.floats(0.01, 0.1),
+       factor=st.one_of(st.floats(0.5, 0.9), st.floats(1.1, 2.0)))
+def test_simplex_guard_of_the_general_sector_solution(a, u, v, factor):
+    # with y = 0 the smaller coherence-pair weight of the closest state is 0
+    # up to rounding (about 1e-16 / (u + v) here); raising the root puts it
+    # at -1e-13 * factor, on either side of the guard, which passes weights
+    # down to -1e-13
+    _, (_, qb, _, _), details = ent._general_sector_solution(a, 0.0, u, v, degenerate_tol=0.0)
+    target = -1e-13 * factor
+    raised = _RaisedRoot((qb - target) * 4.0 * (details["s"] - a))
+    with mock.patch.object(ent, "math", raised):
+        if factor > 1.0:
+            with pytest.raises(OrbentError, match="left the simplex"):
+                ent._general_sector_solution(a, 0.0, u, v, degenerate_tol=0.0)
+            return
+        value, q, _ = ent._general_sector_solution(a, 0.0, u, v, degenerate_tol=0.0)
+    assert min(q) == q[1] and abs(q[1] - target) <= 0.05e-13
+    assert value > 0.0
+
+
+@st.composite
+def density_matrices(draw):
+    """Validated states from a random Ginibre matrix of rank 1 to 16, with
+    some entries set to zero of either sign."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.integers(1, fock.DIM))
+    g = rng.normal(size=(fock.DIM, rank)) + 1j * rng.normal(size=(fock.DIM, rank))
+    zeros = rng.random(g.shape) < draw(st.floats(0.0, 0.9))
+    g[zeros] = complex(draw(st.sampled_from([0.0, -0.0])), draw(st.sampled_from([0.0, -0.0])))
+    m = g @ g.conj().T
+    trace = np.trace(m).real
+    assume(trace > 0.0)
+    return fock.TwoOrbitalState(m / trace)
+
+
+@PROPERTY
+@given(state=density_matrices())
+def test_state_round_trip(state):
+    # the first trip keeps every value but may read a -0 component as +0;
+    # from the second trip on it keeps the bits
+    loaded = stateio.state_from_dict(stateio.state_to_dict(state))
+    assert np.array_equal(loaded.matrix, state.matrix)
+    again = stateio.state_from_dict(json.loads(json.dumps(stateio.state_to_dict(loaded))))
+    assert again.matrix.tobytes() == loaded.matrix.tobytes()
+
+
+def _corrupt(data: dict, kind: str, where: int, size: float) -> None:
+    """Break one property of a valid state document in place; ``size`` > 1
+    is by how many times the corruption exceeds its tolerance."""
+    i, j = divmod(where, fock.DIM)
+    j = (i + 1 + j % (fock.DIM - 1)) % fock.DIM  # off the diagonal
+    if kind == "dim":
+        data["dim"] = [4, 15, 17, 256, None, "16"][where % 6]
+    elif kind == "basis":
+        data["basis"] = ["occupation-A↓A↑B↑B↓", "", None][where % 3]
+    elif kind == "shape":
+        [lambda: data["re"].pop(), lambda: data["im"][i].pop(),
+         lambda: data["re"][i].append(0.0)][where % 3]()
+    elif kind in ("nan", "inf"):
+        data["re" if where % 2 else "im"][i][j] = float(kind) * (-1) ** where
+    elif kind == "hermiticity":
+        data["re" if where % 2 else "im"][i][j] += fock.HERMITICITY_TOL * size
+    elif kind == "trace":
+        data["re"][i][i] += fock.TRACE_TOL * size * (-1) ** where
+    elif kind == "eigenvalue":
+        m = np.array(data["re"]) + 1j * np.array(data["im"])
+        values, vectors = np.linalg.eigh(m)
+        lowest = np.outer(vectors[:, 0], vectors[:, 0].conj())
+        # the lowest eigenvalue to -PSD_TOL * size; the trace moves to the rest
+        drop = (values[0] + fock.PSD_TOL * size) * fock.DIM / (fock.DIM - 1)
+        m = m - drop * lowest + drop / fock.DIM * np.eye(fock.DIM)
+        data["re"], data["im"] = m.real.tolist(), m.imag.tolist()
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["dim", "basis", "shape", "nan", "inf", "hermiticity", "trace",
+                             "eigenvalue"]),
+       where=st.integers(0, fock.DIM**2 - 1), size=st.floats(1.01, 1e6))
+def test_malformed_state_is_a_usage_error(seed, kind, where, size):
+    data = stateio.state_to_dict(sampling.random_state(np.random.default_rng(seed)))
+    _corrupt(data, kind, where, size)
+    with pytest.raises(ValueError):
+        stateio.state_from_dict(data)
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "state.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main(["formula", str(path)])
+    assert code == cli.EXIT_USAGE, err.getvalue()

@@ -129,6 +129,33 @@ class TestTwirl:
             assert e_twirled <= upper + 1e-10
 
 
+def dense_report(state, tol=ssr.DETECTION_TOL):
+    """The symmetry report from dense commutators and the number-basis rotation."""
+    m = state.matrix
+    r = fock.reflection_operator()
+    v = fock.build_symmetry_basis("number").vectors
+    w = np.real(np.einsum("ji,jk,ki->i", v.conj(), m, v))
+    residuals = {
+        name: float(np.linalg.norm(m @ q - q @ m))
+        for name, q in (("number", fock.build_operator("number")),
+                        ("magnetization", fock.build_operator("sz")),
+                        ("total_spin", fock.build_operator("total_spin")))
+    }
+    residuals["reflection"] = float(np.linalg.norm(r @ m @ r.T - m))
+    residuals["triplet_balance"] = abs(w[fock.TRIPLET_UP] - w[fock.TRIPLET_DOWN])
+    residuals["particle_hole_balance"] = abs(w[fock.VACUUM] - w[fock.FULL])
+    return ssr.SymmetryReport(tol=tol, **{name: ssr.SymmetryCheck(x <= tol, x)
+                                          for name, x in residuals.items()})
+
+
+def selection(report, rule):
+    """The variant ``select_formula`` picks, or its error message."""
+    try:
+        return ssr.select_formula(report, rule)
+    except InsufficientSymmetryError as exc:
+        return str(exc)
+
+
 class TestDetectSymmetries:
     def test_singlet_all_flags(self, number_basis):
         state = fock.pure_state(number_basis.vector(fock.SINGLET))
@@ -153,13 +180,16 @@ class TestDetectSymmetries:
                     "triplet_balance", "particle_hole_balance"))
 
     def test_residuals_match_dense_commutators_and_basis_weights(self, rng, number_basis):
-        # reference: the dense commutators and the number-basis rotation
+        # reference: the dense commutators and the number-basis rotation; the
+        # index reads of detect_symmetries and sector_spectrum give its bits
         v = number_basis.vectors
-        for k in range(60):
+        for k in range(80):
             state = random_state(rng)
-            if k % 3 == 1:
+            if k % 4 == 1:
                 state = ssr.nssr_project(state)
-            elif k % 3 == 2:
+            elif k % 4 == 2:
+                state = ssr.pssr_project(state)
+            elif k % 4 == 3:
                 state = ssr.twirl(ssr.twirl(state, "number"), "sz")
             m = state.matrix
             weights = np.real(np.einsum("ij,jk,ki->i", v.conj().T, m, v))
@@ -171,6 +201,52 @@ class TestDetectSymmetries:
                 weights[fock.TRIPLET_UP] - weights[fock.TRIPLET_DOWN])
             assert report.particle_hole_balance.residual == abs(
                 weights[fock.VACUUM] - weights[fock.FULL])
+            assert report == dense_report(state)
+            for variant in ("number", "parity"):
+                basis = fock.build_symmetry_basis(variant).vectors
+                dense = np.real(np.einsum("ji,jk,ki->i", basis.conj(), m, basis))
+                assert (dense > 0.0).all()  # so the spectrum's clip at zero changes nothing
+                spectrum = entanglement.sector_spectrum(state, variant)
+                assert spectrum.weights.tobytes() == dense.tobytes()
+                for got, (i, j) in ((spectrum.spin_coherence, (fock.SINGLET, fock.TRIPLET_ZERO)),
+                                    (spectrum.pair_coherence, (fock.DOUBLE_A, fock.DOUBLE_B))):
+                    assert got == complex(basis[:, i].conj() @ m @ basis[:, j])
+
+    @pytest.mark.parametrize("check, perturbation, base", [
+        # (check, product-basis perturbation, diagonal shifts making the check decide)
+        ("number", {(0, 12): 1.0, (12, 0): 1.0}, {}),
+        ("magnetization", {(1, 2): 1.0, (2, 1): 1.0}, {}),
+        ("total_spin", {(6, 6): 1.0, (9, 9): -1.0}, {5: 0.05, 1: 0.05}),
+        ("reflection", {(1, 1): 1.0, (4, 4): -1.0}, {5: 0.05}),
+        ("triplet_balance", {(5, 5): 1.0, (10, 10): -1.0}, {}),
+        ("particle_hole_balance", {(0, 0): 1.0, (15, 15): -1.0}, {}),
+    ])
+    def test_selection_at_tolerance_edges_matches_dense_reference(self, check, perturbation, base):
+        # a fully symmetric state, unbalanced by ``base`` so that ``check``
+        # decides the formula, plus a perturbation whose residual sits at
+        # tol * (1 -/+ 1e-6): the check passes, then fails, as in the dense form
+        tol = 1e-4
+        weights = np.full(16, 1 / 16)
+        weights[[fock.SINGLET, fock.TRIPLET_ZERO]] = 0.2, 0.02
+        symmetric = state_from_weights(weights / weights.sum()).matrix.copy()
+        for i, shift in base.items():
+            symmetric[i, i] += shift
+            symmetric[15 - i, 15 - i] -= shift  # keeps the trace
+        unit = np.zeros((16, 16))
+        for (i, j), entry in perturbation.items():
+            unit[i, j] = entry
+        scale = getattr(ssr.detect_symmetries(fock.TwoOrbitalState(symmetric + 1e-3 * unit)),
+                        check).residual / 1e-3
+        outcomes = []
+        for side in (1 - 1e-6, 1 + 1e-6):
+            state = fock.TwoOrbitalState(symmetric + tol * side / scale * unit)
+            report = ssr.detect_symmetries(state, tol)
+            assert getattr(report, check).ok == (side < 1)
+            assert report == dense_report(state, tol)
+            outcomes.append([selection(report, rule) for rule in ("number", "parity")])
+            assert outcomes[-1] == [selection(dense_report(state, tol), rule)
+                                    for rule in ("number", "parity")]
+        assert outcomes[0] != outcomes[1]  # the edge decides the formula
 
     def test_report_serializes(self, rng):
         report = ssr.detect_symmetries(random_state(rng))
