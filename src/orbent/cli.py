@@ -10,6 +10,7 @@ the output layer.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, entanglement, free_fermion, lattice, oracle, sampling, ssr, stateio
+from . import __version__, entanglement, free_fermion, oracle, sampling, ssr, stateio
 from .errors import (
     DegenerateSectorError,
     InsufficientSymmetryError,
@@ -241,6 +242,8 @@ def cmd_lmin(args: argparse.Namespace) -> int:
 
 
 def cmd_ehm_scan(args: argparse.Namespace) -> int:
+    from . import lattice  # the ED stack loads scipy.sparse.linalg: only its commands pay
+
     units, scale = _unit_scale(args)
     length = args.length
     chain = lattice.ChainSpec(length, length // 2, length // 2, t_hop=args.t_hop)
@@ -254,6 +257,8 @@ def cmd_ehm_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_dimer(args: argparse.Namespace) -> int:
+    from . import lattice
+
     units, scale = _unit_scale(args)
     number = lattice.dimer_analytics(args.U, args.V, args.t_hop, rule="number")
     parity = lattice.dimer_analytics(args.U, args.V, args.t_hop, rule="parity")
@@ -363,9 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: One parser per process: it holds no per-call state, and argparse looks up
+#: ``sys.stdout`` and ``sys.stderr`` when it prints, not when it is built.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InsufficientSymmetryError as exc:

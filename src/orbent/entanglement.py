@@ -252,8 +252,16 @@ def _general_sector_solution(x: float, y: float, u: float, v: float,
     qu = u + shift
     qv = v + shift
     qx, qy = (qa, qb) if x >= y else (qb, qa)
-    if min(qx, qy, qu, qv) < -1e-13:
+    smallest = min(qx, qy, qu, qv)
+    if smallest < -1e-13:
         raise OrbentError("closed-form sector solution left the simplex")
+    if smallest <= 0.0 and any(pi > 0.0 >= qi for pi, qi in zip((x, y, u, v), (qx, qy, qu, qv))):
+        # a rounding-level closest weight under a positive target weight: the
+        # value would be infinite or undefined
+        raise DegenerateSectorError(
+            "closed-form sector solution has a zero weight where the target is positive; "
+            "use the brute-force minimizer"
+        )
     value = _kl_terms((x, y, u, v), (qx, qy, qu, qv))
     details = {"A": big_a, "B": big_b, "C": big_c, "s": s, "separable": False}
     return value, (qx, qy, qu, qv), details

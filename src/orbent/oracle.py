@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import fock
 from .errors import OracleConvergenceError
@@ -107,12 +106,72 @@ def _kkt_residual(p, q, w, mu) -> float:
     return resid
 
 
+#: Brent's method: absolute and relative resolution of the root, and the
+#: iteration budget.
+_BRENT_XTOL = 5e-324
+_BRENT_RTOL = 8.9e-16
+_BRENT_MAXITER = 400
+
+
 def _brentq(f, lo: float, hi: float) -> float:
-    root, info = brentq(f, lo, hi, xtol=5e-324, rtol=8.9e-16, maxiter=400,
-                        full_output=True, disp=False)
-    if not info.converged:
-        raise OracleConvergenceError(f"sector solve did not converge: {info.flag}")
-    return root
+    """The root of ``f`` in the sign-changing bracket ``[lo, hi]``.
+
+    Brent's method (R. P. Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4), step for step as scipy's C ``brentq``: keep a
+    bracket ``[x_cur, x_blk]`` with ``f(x_cur)`` the smaller in magnitude; try
+    a secant step (two distinct points) or an inverse quadratic one (three),
+    take it when it moves less than half the step before last and stays well
+    inside the bracket, and bisect otherwise.  Converged when half the bracket
+    is below ``(_BRENT_XTOL + _BRENT_RTOL |x_cur|) / 2`` or ``f(x_cur) == 0``.
+    A NaN value, a bracket without a sign change and a spent budget raise
+    :class:`OracleConvergenceError`.
+    """
+    x_pre, x_cur = lo, hi
+    f_pre, f_cur = f(x_pre), f(x_cur)
+    if math.isnan(f_pre) or math.isnan(f_cur):
+        raise OracleConvergenceError("sector solve met a NaN")
+    if f_pre == 0.0:
+        return x_pre
+    if f_cur == 0.0:
+        return x_cur
+    if (f_pre < 0.0) == (f_cur < 0.0):
+        raise OracleConvergenceError("sector solve bracket does not change sign")
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if f_pre != 0.0 and f_cur != 0.0 and (f_pre < 0.0) != (f_cur < 0.0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(x_cur)) / 2.0
+        s_bis = (x_blk - x_cur) / 2.0
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            try:
+                if x_pre == x_blk:  # interpolate
+                    s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+                else:  # extrapolate
+                    d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                    d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                    s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
+                             / (d_blk * d_pre * (f_blk - f_pre)))
+            except ZeroDivisionError:  # IEEE gives an infinity or a NaN: no short step
+                s_try = math.inf
+            inside = 3.0 * abs(s_bis) - delta
+            if 2.0 * abs(s_try) < (abs(s_pre) if abs(s_pre) < inside else inside):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else (delta if s_bis > 0.0 else -delta)
+        f_cur = f(x_cur)
+        if math.isnan(f_cur):
+            raise OracleConvergenceError("sector solve met a NaN")
+    raise OracleConvergenceError("sector solve did not converge: convergence error")
 
 
 def _solve_constrained_sector(p4) -> tuple[tuple[float, float, float, float], float]:

@@ -40,7 +40,11 @@ def state_from_dict(data: dict) -> TwoOrbitalState:
     imag = np.asarray(data["im"], dtype=float) if "im" in data else np.zeros_like(real)
     if real.shape != (fock.DIM, fock.DIM) or imag.shape != (fock.DIM, fock.DIM):
         raise ValueError("matrix entries must form 16x16 arrays")
-    return TwoOrbitalState(real + 1j * imag)
+    # an infinite imaginary part makes 1j * imag read 0 * inf = NaN in its
+    # real part; the state's own finiteness check reports the entry
+    with np.errstate(invalid="ignore"):
+        matrix = real + 1j * imag
+    return TwoOrbitalState(matrix)
 
 
 def save_state(path: str | Path, state: TwoOrbitalState) -> None:

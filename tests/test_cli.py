@@ -299,3 +299,36 @@ class TestThreadPinning:
         proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, timeout=60, check=True)
         assert json.loads(proc.stdout) == dict.fromkeys(names, "3")
+
+
+class TestParser:
+    def test_built_once_and_prints_to_the_current_streams(self, capsys):
+        assert cli._parser() is cli._parser()
+        for _ in range(2):
+            with pytest.raises(SystemExit):
+                cli.main(["--version"])
+            assert capsys.readouterr().out == f"orbent {orbent.__version__}\n"
+            with pytest.raises(SystemExit):
+                cli.main(["formula"])
+            assert "required: input" in capsys.readouterr().err
+
+
+class TestImportCost:
+    def test_only_the_ed_commands_load_scipy(self):
+        # a fresh interpreter: importing the CLI loads no scipy at all, and
+        # the two ED commands load scipy.sparse.linalg on demand and run
+        probe = textwrap.dedent("""
+            import contextlib, io, json, sys
+            import orbent.cli
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            codes = []
+            for argv in (["dimer", "--U", "4"], ["ehm-scan", "--L", "4", "--U", "4", "--V", "1"]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    codes.append(orbent.cli.main(argv))
+            print(json.dumps({"loaded": loaded, "codes": codes,
+                              "linalg": "scipy.sparse.linalg" in sys.modules}))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(orbent.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert json.loads(proc.stdout) == {"loaded": [], "codes": [0, 0], "linalg": True}

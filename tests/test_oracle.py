@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 from orbent import fock, oracle, ssr
 from orbent.errors import OracleConvergenceError
@@ -11,6 +11,41 @@ from orbent.free_fermion import correlation_block, pair_correlation_modes, two_s
 from orbent.sampling import random_separable_symmetric_state, random_weights
 
 LN2 = math.log(2.0)
+
+#: The rounding-level sweep per rule: (rule, sector roles, index of the rest
+#: of the mass, seed).
+SWEEPS = [("number", fock.SPIN_SECTOR, fock.VACUUM, 0), ("parity", fock.PAIR_SECTOR, 1, 3)]
+
+
+def sweep_problems(rule, roles, rest, seed):
+    """20,000 sectors with weights scaled by 10^U(-40, 0) and a 1,470-sector
+    grid of rounding-level partner and product weights; the rest of the mass
+    sits outside the constrained sectors (a sector that draws more than unit
+    mass is scaled to unit mass)."""
+    rng = np.random.default_rng(seed)
+    drawn = [rng.random(4) * 10.0 ** rng.uniform(-40, 0, 4) for _ in range(20_000)]
+    tiny = (1e-40, 1e-35, 1e-30, 1e-25, 1e-20, 1e-17, 1e-15)
+    grid = [(x, y, u, v) for x in (0.2, 0.5, 0.9)
+            for y in [0.0] + [10.0 ** -n for n in range(18, 9, -1)]
+            for u in tiny for v in tiny]
+    assert len(grid) == 1470
+    for sector in drawn + grid:
+        p = np.zeros(16)
+        p[list(roles)] = sector
+        mass = p.sum()
+        if mass > 1.0:
+            p /= mass
+        p[rest] = max(0.0, 1.0 - p.sum())
+        yield tuple(sector), oracle.ConstrainedSimplexProblem(p, rule)
+
+
+def scipy_brentq(f, lo, hi):
+    """The oracle's root through scipy, with the in-module settings."""
+    root, info = brentq(f, lo, hi, xtol=5e-324, rtol=8.9e-16, maxiter=400,
+                        full_output=True, disp=False)
+    if not info.converged:
+        raise OracleConvergenceError(f"sector solve did not converge: {info.flag}")
+    return root
 
 
 def slsqp_sector_reference(p4, mass=None):
@@ -125,34 +160,14 @@ class TestKlMinOracle:
             assert_allclose(sol.weights[products], formula.closest_weights[products],
                             rtol=1e-9, atol=0.0)
 
-    @pytest.mark.parametrize("rule, roles, rest, seed", [
-        ("number", fock.SPIN_SECTOR, fock.VACUUM, 0),
-        ("parity", fock.PAIR_SECTOR, 1, 3),
-    ], ids=["spin-sector", "pair-sector"])
+    @pytest.mark.parametrize("rule, roles, rest, seed", SWEEPS, ids=["spin-sector", "pair-sector"])
     def test_rounding_level_sweep_certifies(self, rule, roles, rest, seed):
-        # 20,000 sectors with weights scaled by 10^U(-40, 0) and a 1,470-sector
-        # grid of rounding-level partner and product weights; the rest of the
-        # mass sits outside the constrained sectors (a sector that draws more
-        # than unit mass is scaled to unit mass)
-        rng = np.random.default_rng(seed)
-        drawn = [rng.random(4) * 10.0 ** rng.uniform(-40, 0, 4) for _ in range(20_000)]
-        tiny = (1e-40, 1e-35, 1e-30, 1e-25, 1e-20, 1e-17, 1e-15)
-        grid = [(x, y, u, v) for x in (0.2, 0.5, 0.9)
-                for y in [0.0] + [10.0 ** -n for n in range(18, 9, -1)]
-                for u in tiny for v in tiny]
-        assert len(grid) == 1470
         refused = []
-        for sector in drawn + grid:
-            p = np.zeros(16)
-            p[list(roles)] = sector
-            mass = p.sum()
-            if mass > 1.0:
-                p /= mass
-            p[rest] = max(0.0, 1.0 - p.sum())
+        for sector, problem in sweep_problems(rule, roles, rest, seed):
             try:
-                sol = oracle.kl_min_oracle(oracle.ConstrainedSimplexProblem(p, rule))
+                sol = oracle.kl_min_oracle(problem)
             except OracleConvergenceError:
-                refused.append(tuple(sector))
+                refused.append(sector)
                 continue
             assert sol.value >= 0.0, sector
         assert refused == []
@@ -255,6 +270,60 @@ class TestKlMinOracle:
             oracle.ConstrainedSimplexProblem(np.full(16, 1 / 16.0), "parity")
         )
         assert sol.value == 0.0
+
+
+class TestBrentq:
+    """The in-module Brent root against scipy's ``brentq``."""
+
+    @pytest.mark.parametrize("rule, roles, rest, seed", SWEEPS, ids=["spin-sector", "pair-sector"])
+    def test_matches_scipy_bits_on_the_sweep(self, rule, roles, rest, seed, monkeypatch):
+        # every root the oracle takes on the sweep, on its own excess functions
+        port = oracle._brentq
+        roots = []
+
+        def both(f, lo, hi):
+            root = port(f, lo, hi)
+            roots.append((root, scipy_brentq(f, lo, hi)))
+            return root
+
+        monkeypatch.setattr(oracle, "_brentq", both)
+        for _, problem in sweep_problems(rule, roles, rest, seed):
+            oracle.kl_min_oracle(problem)
+        assert len(roots) > 10_000
+        mismatches = [(a, b) for a, b in roots if a.hex() != b.hex()]
+        assert mismatches == []
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda t: t * t - 2.0, 0.0, 2.0),
+        (lambda t: math.exp(t) - 3.0, -5.0, 5.0),
+        (lambda t: (t - 1e-300) * 1e10, 0.0, 1.0),
+        (lambda t: t ** 3 - 0.5, -1.0, 2.0),
+        (math.sin, 2.0, 4.0),
+        # values near 1e-200: the extrapolation's denominator underflows to 0
+        (lambda t: 1e-200 * (t ** 3 - 0.5), -1.0, 2.0),
+        (lambda t: 1e-300 * (math.exp(t) - 3.0), -5.0, 5.0),
+        (lambda t: t - 0.25, 0.25, 1.0),          # f(lo) == 0
+        (lambda t: t - 1.0, 0.25, 1.0),           # f(hi) == 0
+    ])
+    def test_matches_scipy_bits(self, f, lo, hi):
+        assert oracle._brentq(f, lo, hi).hex() == scipy_brentq(f, lo, hi).hex()
+
+    def test_spent_budget_keeps_the_message(self):
+        # a sign step at 0: bisection from 1 toward 0 needs about 1,075 halvings
+        def step(t):
+            return 1.0 if t > 0.0 else -1.0
+
+        message = "sector solve did not converge: convergence error"
+        with pytest.raises(OracleConvergenceError, match=message):
+            scipy_brentq(step, -1.0, 1.0)
+        with pytest.raises(OracleConvergenceError, match=message):
+            oracle._brentq(step, -1.0, 1.0)
+
+    @pytest.mark.parametrize("f", [lambda t: t + 1.0, lambda t: math.nan,
+                                   lambda t: math.nan if t > 0.5 else t - 0.75])
+    def test_refuses_a_bracket_without_sign_change_or_a_nan(self, f):
+        with pytest.raises(OracleConvergenceError):
+            oracle._brentq(f, 0.0, 1.0)
 
 
 class TestPptOracle:

@@ -1,9 +1,10 @@
 """Property tests at the tolerance edges: the closed formulas against the KL
 oracle beside the separability boundary and beside ``DEGENERATE_TOL``,
 superselection monotonicity, the oracle's certify-or-refuse contract on
-arbitrary sectors, the simplex guard of the general sector solution, and the
-state-file round trip and its rejection of malformed input.  Derandomized, so
-every run draws the same examples."""
+arbitrary sectors, the simplex guard of the general sector solution and its
+refusal of a rounding-level closest weight, and the state-file round trip and
+its rejection of malformed input.  Derandomized, so every run draws the same
+examples."""
 
 import contextlib
 import io
@@ -143,6 +144,31 @@ def test_simplex_guard_of_the_general_sector_solution(a, u, v, factor):
         value, q, _ = ent._general_sector_solution(a, 0.0, u, v, degenerate_tol=0.0)
     assert min(q) == q[1] and abs(q[1] - target) <= 0.05e-13
     assert value > 0.0
+
+
+def test_negative_closest_weight_under_a_positive_target_is_degenerate(tmp_path):
+    # the raised root puts the closest weight of y = 1e-3 at -5e-14, inside
+    # the simplex guard, where log(p/q) is undefined: the formula refuses with
+    # the typed error, the oracle fallback answers and the CLI exits 4
+    sector = (0.4, 1e-3, 0.02, 0.03)
+    _, (_, qb, _, _), details = ent._general_sector_solution(*sector)
+    raised = _RaisedRoot((qb + 5e-14) * 4.0 * (details["s"] - sector[0]))
+    with mock.patch.object(ent, "math", raised):
+        with pytest.raises(DegenerateSectorError):
+            ent._general_sector_solution(*sector)
+
+    p = spectrum({fock.SPIN_SECTOR: sector})
+    basis = fock.build_symmetry_basis("number")
+    state = fock.TwoOrbitalState((basis.vectors * p) @ basis.vectors.conj().T)
+    path = Path(tmp_path) / "state.json"
+    stateio.save_state(path, state)
+    with mock.patch.object(ent, "math", raised):
+        result = ent.orbital_entanglement(state, "number")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main(["formula", str(path)])
+    assert result.method == "oracle" and result.value > 0.0
+    assert code == cli.EXIT_DEGENERATE_SECTOR, err.getvalue()
 
 
 @st.composite

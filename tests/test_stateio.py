@@ -49,3 +49,12 @@ class TestValidation:
             stateio.state_from_dict(
                 {"dim": 16, "basis": stateio.SCHEMA_BASIS, "re": [[1.0] * 4] * 4}
             )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_infinite_imaginary_entry_is_rejected_without_a_warning(self, value):
+        # i * inf has a NaN real part; combining the parts must not warn
+        data = stateio.state_to_dict(fock.maximally_mixed_state())
+        data["im"][2][5] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            stateio.state_from_dict(data)
