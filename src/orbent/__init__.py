@@ -48,6 +48,7 @@ from .oracle import (
     ConstrainedSimplexProblem,
     OracleSolution,
     kl_min_oracle,
+    kl_min_oracle_batch,
     ppt_oracle,
     wick_rdm_oracle,
 )

@@ -537,9 +537,15 @@ def orbital_entanglement(state: TwoOrbitalState, rule: str = "number",
     try:
         result = entanglement_from_spectrum(spectrum, variant, tol=tol,
                                             twirl_coherence=twirl_coherence)
-    except DegenerateSectorError:
+    except DegenerateSectorError as exc:
         if not fallback_oracle:
             raise
+        # a child of the ``orbent`` logger, which has no handlers: a DEBUG record
+        # prints nothing unless the caller configures logging.  Imported here
+        # because loading ``logging`` adds ~8 ms to start-up
+        import logging
+        logging.getLogger(__name__).debug(
+            "%s formula refused (%s); falling back to the KL oracle", variant.value, exc)
         problem = oracle.ConstrainedSimplexProblem(spectrum.weights, rule)
         solution = oracle.kl_min_oracle(problem)
         return EntanglementResult(

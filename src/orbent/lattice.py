@@ -10,6 +10,7 @@ permutation parities.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -35,6 +36,10 @@ __all__ = [
     "bond_scan",
     "dimer_analytics",
 ]
+
+#: Child of the ``orbent`` logger, which has no handlers; its records are
+#: DEBUG, below the level stdlib prints without a configured handler.
+log = logging.getLogger(__name__)
 
 MAX_SITES = 14
 #: Largest sector Hamiltonian, in stored CSR bytes, that a build may start;
@@ -399,6 +404,8 @@ def two_orbital_rdm(state: GroundState | np.ndarray, basis: SectorBasis,
                 )
             if on_degenerate != "mixture":
                 raise ValueError(f"unknown degeneracy policy {on_degenerate!r}")
+            log.debug("averaging the pair state over a degenerate multiplet of %d states",
+                      len(state.multiplet))
             matrices = [_pair_rdm_from_vector(v, basis, i, j) for v in state.multiplet]
             return TwoOrbitalState(sum(matrices) / len(matrices))
         vector = state.amplitudes

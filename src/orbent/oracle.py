@@ -6,9 +6,11 @@ separability boundary where the stationarity system holds, as the bracketed
 root of one scalar equation.  The scalar is the distance from the symmetric
 point or the constraint multiplier, whichever is smaller, so that weights of
 1e-35 beside 1e-2 keep their relative precision; a sector without product
-weights is an explicit corner.  The Wick builder computes every
-density-matrix element as a sum over contraction pairings, independent of the
-constructive Gaussian route.
+weights is an explicit corner.  One spectrum is solved and certified on plain
+Python floats by :func:`kl_min_oracle`; :func:`kl_min_oracle_batch` checks
+a whole batch of targets in one numpy pass and then hands every row to
+:func:`kl_min_oracle`.  The Wick builder computes every density-matrix element as a sum over
+contraction pairings, independent of the constructive Gaussian route.
 """
 
 from __future__ import annotations
@@ -27,12 +29,39 @@ __all__ = [
     "ConstrainedSimplexProblem",
     "OracleSolution",
     "kl_min_oracle",
+    "kl_min_oracle_batch",
     "ppt_oracle",
     "wick_rdm_oracle",
 ]
 
 FEASIBILITY_TOL = 1e-12
 STATIONARITY_TOL = 1e-9
+
+
+#: Superselection rule -> the constrained sectors it makes active.
+_SECTORS = {
+    "number": (fock.SPIN_SECTOR,),
+    "parity": (fock.SPIN_SECTOR, fock.PAIR_SECTOR),
+}
+
+
+def _clipped_targets(p: np.ndarray, rule: str) -> np.ndarray:
+    """Rows of 16 target weights, checked and clipped at zero.
+
+    A row passes when it is finite, has no weight below -1e-12 and sums to
+    one within 1e-10; the first row that fails raises, and then an unknown
+    ``rule`` raises.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf gives a NaN sum, refused below
+        totals = p.sum(axis=1)  # non-finite if any weight is
+    for total, lowest in zip(totals.tolist(), p.min(axis=1).tolist()):
+        if not math.isfinite(total):
+            raise ValueError("target weights must be finite")
+        if lowest < -1e-12 or abs(total - 1.0) > 1e-10:
+            raise ValueError("target must be a probability vector")
+    if not (isinstance(rule, str) and rule in _SECTORS):
+        raise ValueError(f"unknown superselection rule {rule!r}")
+    return np.maximum(p, 0.0)  # what np.clip(p, 0.0, None) calls
 
 
 @dataclass(frozen=True)
@@ -52,22 +81,21 @@ class ConstrainedSimplexProblem:
         p = np.asarray(self.target, dtype=float)
         if p.shape != (fock.DIM,):
             raise ValueError("expected 16 target weights")
-        total = p.sum()  # non-finite if any weight is
-        if not math.isfinite(total):
-            raise ValueError("target weights must be finite")
-        if p.min() < -1e-12 or abs(total - 1.0) > 1e-10:
-            raise ValueError("target must be a probability vector")
-        p = np.clip(p, 0.0, None)
+        p = _clipped_targets(p[None], self.rule)[0]
         p.setflags(write=False)
         object.__setattr__(self, "target", p)
-        if self.rule not in ("number", "parity"):
-            raise ValueError(f"unknown superselection rule {self.rule!r}")
+
+    @classmethod
+    def _checked(cls, target: np.ndarray, rule: str) -> ConstrainedSimplexProblem:
+        """A problem over a target that has already been checked and clipped."""
+        problem = object.__new__(cls)
+        object.__setattr__(problem, "target", target)
+        object.__setattr__(problem, "rule", rule)
+        return problem
 
     @property
     def sectors(self) -> tuple[tuple[int, int, int, int], ...]:
-        if self.rule == "number":
-            return (fock.SPIN_SECTOR,)
-        return (fock.SPIN_SECTOR, fock.PAIR_SECTOR)
+        return _SECTORS[self.rule]
 
 
 @dataclass(frozen=True)
@@ -246,6 +274,13 @@ def _kl_term(p: float, q: float) -> float:
     return max(0.0, p * log_ratio - gap)
 
 
+def _sum16(q: list) -> float:
+    """``sum(q)`` over 16 floats with numpy's bits: its pairwise order, added
+    to the reduction's initial +0.0 (so all negative zeros sum to +0.0)."""
+    r = [q[i] + q[i + 8] for i in range(8)]
+    return 0.0 + (((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+
+
 def kl_min_oracle(problem: ConstrainedSimplexProblem) -> OracleSolution:
     """Minimize ``sum_i p_i log(p_i / q_i)`` over the constrained simplex.
 
@@ -255,14 +290,16 @@ def kl_min_oracle(problem: ConstrainedSimplexProblem) -> OracleSolution:
     stationarity residuals and by a positive weight wherever the target is
     positive (a finite value); certification failure raises, never returning
     a silent wrong answer.  The value sums ``p log(p/q) - p + q`` over the
-    solved sectors, term by term, so it is never negative.
+    solved sectors, term by term, so it is never negative.  The work runs on
+    the target as a list of Python floats, with numpy's bits.
     """
-    p = problem.target
+    p = problem.target.tolist()
+    sectors = problem.sectors
     q = p.copy()
     stationarity = 0.0
     solved = []
-    for roles in problem.sectors:
-        p4 = tuple(float(p[i]) for i in roles)
+    for roles in sectors:
+        p4 = tuple(p[i] for i in roles)
         q4, resid = _solve_constrained_sector(p4)
         for i, pi, qi in zip(roles, p4, q4):
             if pi > 0.0 and not qi > 0.0:
@@ -273,10 +310,11 @@ def kl_min_oracle(problem: ConstrainedSimplexProblem) -> OracleSolution:
         solved.extend(zip(p4, q4))
         stationarity = max(stationarity, resid)
 
-    feasibility = abs(q.sum() - 1.0)
-    if q.min() < 0.0:
-        feasibility = max(feasibility, -q.min())
-    for roles in problem.sectors:
+    feasibility = abs(_sum16(q) - 1.0)
+    lowest = min(q)
+    if lowest < 0.0:
+        feasibility = max(feasibility, -lowest)
+    for roles in sectors:
         x, y, u, v = (q[i] for i in roles)
         violation = ((x - y) / 2.0) ** 2 - u * v
         if violation > 0.0:
@@ -287,13 +325,29 @@ def kl_min_oracle(problem: ConstrainedSimplexProblem) -> OracleSolution:
             f"stationarity {stationarity:.3e}"
         )
 
-    value = math.fsum(_kl_term(pi, qi) for pi, qi in solved)
     return OracleSolution(
-        value=value,
-        weights=q,
+        value=math.fsum(_kl_term(pi, qi) for pi, qi in solved),
+        weights=np.array(q),
         feasibility_residual=feasibility,
         stationarity_residual=stationarity,
     )
+
+
+def kl_min_oracle_batch(targets, rule: str = "number") -> np.ndarray:
+    """The certified minimum of every row of ``targets``, shape ``(n, 16)``.
+
+    The rows are checked as :class:`ConstrainedSimplexProblem` checks one
+    target, all before any is solved; each row is then solved by
+    :func:`kl_min_oracle`, so it has the single problem's bits, and the first
+    row whose certificate fails raises that row's error.
+    """
+    p = np.asarray(targets, dtype=float)
+    if p.ndim != 2 or p.shape[1] != fock.DIM:
+        raise ValueError("expected rows of 16 target weights")
+    clipped = _clipped_targets(p, rule)
+    clipped.setflags(write=False)
+    return np.array([kl_min_oracle(ConstrainedSimplexProblem._checked(row, rule)).value
+                     for row in clipped], dtype=float)
 
 
 def ppt_oracle(state: TwoOrbitalState) -> tuple[bool, float]:

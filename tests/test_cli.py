@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -141,8 +142,9 @@ class TestOracleVerifyCommand:
 
     @pytest.mark.parametrize("chunk", [1000, 64])
     def test_batch_matches_the_scalar_loop(self, chunk, monkeypatch, capsys):
-        # the formula side runs in batches of VERIFY_CHUNK spectra; the
-        # reference draws, builds and evaluates one spectrum at a time
+        # the formulas and the oracle run in batches of VERIFY_CHUNK spectra;
+        # the reference draws, builds and evaluates one spectrum at a time,
+        # each through its own ConstrainedSimplexProblem and kl_min_oracle
         monkeypatch.setattr(cli, "VERIFY_CHUNK", chunk)
         code, out, _ = run(["oracle-verify", "--n", "200", "--seed", "13"], capsys)
         assert code == 0
@@ -166,6 +168,17 @@ class TestOracleVerifyCommand:
             ["oracle-verify", "--n", "5", "--seed", "7", "--threshold", "1e-300"], capsys
         )
         assert code == cli.EXIT_FAILURE
+
+    def test_a_wrong_oracle_value_fails_the_check(self, monkeypatch, capsys):
+        # a fault injected into kl_min_oracle reaches every batched spectrum
+        real = oracle.kl_min_oracle
+        monkeypatch.setattr(oracle, "kl_min_oracle", lambda problem: dataclasses.replace(
+            real(problem), value=real(problem).value + 1e-3))
+        code, out, _ = run(["oracle-verify", "--n", "5", "--seed", "7"], capsys)
+        assert code == cli.EXIT_FAILURE
+        payload = json.loads(out)
+        for variant in ("singlet", "general", "parity"):
+            assert payload[variant]["mean_abs_delta_nats"] > 9e-4
 
     def test_file_mode_with_degenerate_sector(self, tmp_path, capsys):
         weights = np.zeros(16)
@@ -315,12 +328,13 @@ class TestParser:
 
 class TestImportCost:
     def test_only_the_ed_commands_load_scipy(self):
-        # a fresh interpreter: importing the CLI loads no scipy at all, and
-        # the two ED commands load scipy.sparse.linalg on demand and run
+        # a fresh interpreter: importing the CLI loads no scipy and no logging
+        # at all, and the two ED commands load scipy.sparse.linalg on demand
+        # and run
         probe = textwrap.dedent("""
             import contextlib, io, json, sys
             import orbent.cli
-            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "logging"))
             codes = []
             for argv in (["dimer", "--U", "4"], ["ehm-scan", "--L", "4", "--U", "4", "--V", "1"]):
                 with contextlib.redirect_stdout(io.StringIO()):

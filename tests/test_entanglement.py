@@ -1,3 +1,4 @@
+import logging
 import math
 import re
 
@@ -391,6 +392,20 @@ class TestOracleFallback:
         assert res.variant is None
         sol = oracle.kl_min_oracle(oracle.ConstrainedSimplexProblem(w, "number"))
         assert res.value == pytest.approx(sol.value, abs=1e-12)
+
+    def test_fallback_is_logged_at_debug(self, caplog):
+        w = weights_with({fock.SINGLET: 0.55, fock.TRIPLET_ZERO: 0.05,
+                          fock.TRIPLET_UP: 0.12})
+        state = state_from_weights(w)
+        with caplog.at_level(logging.DEBUG, logger="orbent"):
+            ent.orbital_entanglement(state, "number")
+        (record,) = [r for r in caplog.records if r.name.startswith("orbent")]
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        assert message.startswith(f"{ssr.FormulaVariant.NSSR_GENERAL.value} formula refused (")
+        with pytest.raises(DegenerateSectorError) as refusal:
+            ent.orbital_entanglement(state, "number", fallback_oracle=False)
+        assert f"({refusal.value})" in message
 
     def test_fallback_can_be_disabled(self):
         w = weights_with({fock.SINGLET: 0.55, fock.TRIPLET_ZERO: 0.05,

@@ -1,5 +1,11 @@
+import logging
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +127,41 @@ class TestGroundState:
             lattice.two_orbital_rdm(gs, basis, 0, 1)
         mixture = lattice.two_orbital_rdm(gs, basis, 0, 1, on_degenerate="mixture")
         assert abs(np.trace(mixture.matrix) - 1.0) < 1e-12
+
+    def test_multiplet_average_is_logged_at_debug(self, caplog):
+        chain = lattice.ChainSpec(4, 2, 2, boundary="periodic")
+        basis = lattice.sector_basis(4, 2, 2)
+        gs = lattice.ground_state(lattice.build_hamiltonian(chain, basis))
+        with caplog.at_level(logging.DEBUG, logger="orbent"):
+            lattice.two_orbital_rdm(gs, basis, 0, 1, on_degenerate="mixture")
+        (record,) = [r for r in caplog.records if r.name.startswith("orbent")]
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage() == (
+            f"averaging the pair state over a degenerate multiplet of {len(gs.multiplet)} states")
+
+    def test_debug_records_print_nothing_by_default(self):
+        # a fresh interpreter with logging unconfigured: the oracle fallback
+        # and the multiplet average run, and stdlib's last-resort handler,
+        # which prints warnings and above, prints nothing
+        probe = textwrap.dedent("""
+            import numpy as np
+            from orbent import entanglement, fock, lattice
+            w = np.zeros(16)
+            w[[fock.SINGLET, fock.TRIPLET_ZERO, fock.TRIPLET_UP]] = (0.55, 0.05, 0.12)
+            w[fock.VACUUM] = 1.0 - w.sum()
+            v = fock.build_symmetry_basis("number").vectors
+            state = fock.TwoOrbitalState((v * w) @ v.conj().T)
+            assert entanglement.orbital_entanglement(state, "number").method == "oracle"
+            basis = lattice.sector_basis(4, 2, 2)
+            chain = lattice.ChainSpec(4, 2, 2, boundary="periodic")
+            gs = lattice.ground_state(lattice.build_hamiltonian(chain, basis))
+            assert gs.degenerate
+            lattice.two_orbital_rdm(gs, basis, 0, 1, on_degenerate="mixture")
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(lattice.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
     def test_lanczos_path_matches_dense(self):
         chain = lattice.ChainSpec(6, 3, 3, u=4.0, v=1.0)

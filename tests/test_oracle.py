@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -270,6 +271,136 @@ class TestKlMinOracle:
             oracle.ConstrainedSimplexProblem(np.full(16, 1 / 16.0), "parity")
         )
         assert sol.value == 0.0
+
+
+#: Sectors with subnormal weights, which the oracle certifies or refuses.
+SUBNORMAL_SECTORS = [
+    (0.3, 0.0, 1e-310, 0.0), (0.3, 0.0, 1e-310, 1e-320), (0.3, 0.1, 5e-324, 0.0),
+    (0.3, 0.1, 5e-324, 5e-324), (0.3, 5e-324, 5e-324, 5e-324),
+    (0.3, 0.29999999999999993, 1e-300, 1e-300), (0.3, 1e-310, 1e-200, 1e-250),
+]
+#: Rule, sector roles and the index of the rest of the mass, per rule.
+SECTOR_RULES = [("number", fock.SPIN_SECTOR, fock.VACUUM), ("parity", fock.PAIR_SECTOR, 1)]
+
+
+def sector_target(sector, roles, rest):
+    """16 target weights: ``sector`` on ``roles``, the rest of the mass at ``rest``."""
+    p = np.zeros(16)
+    p[list(roles)] = sector
+    p[rest] = 1.0 - p.sum()
+    return p
+
+
+def scalar_outcome(p, rule):
+    """The single-problem oracle's value bits, or its error type and message."""
+    try:
+        return oracle.kl_min_oracle(oracle.ConstrainedSimplexProblem(p, rule)).value.hex()
+    except (OracleConvergenceError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestKlMinOracleBatch:
+    """``kl_min_oracle_batch`` rows against the single-problem oracle."""
+
+    @pytest.mark.parametrize("rule, roles, rest, seed", SWEEPS, ids=["spin-sector", "pair-sector"])
+    def test_rows_match_the_scalar_bits_on_the_sweep(self, rule, roles, rest, seed):
+        targets = np.array([problem.target for _, problem in sweep_problems(rule, roles, rest, seed)])
+        values = oracle.kl_min_oracle_batch(targets, rule)
+        assert [v.hex() for v in values.tolist()] == [scalar_outcome(p, rule) for p in targets]
+
+    @pytest.mark.parametrize("sector", SUBNORMAL_SECTORS)
+    @pytest.mark.parametrize("rule, roles, rest", SECTOR_RULES, ids=["spin-sector", "pair-sector"])
+    def test_rows_match_the_scalar_outcome_on_subnormal_sectors(self, sector, rule, roles, rest):
+        p = sector_target(sector, roles, rest)
+        try:
+            batch = oracle.kl_min_oracle_batch(p[None], rule)[0].hex()
+        except OracleConvergenceError as exc:
+            batch = type(exc), str(exc)
+        assert batch == scalar_outcome(p, rule)
+
+    @pytest.mark.parametrize("kind, rule", [("singlet", "number"), ("general", "number"),
+                                            ("general", "parity"), ("parity-general", "parity"),
+                                            ("parity-general", "number")])
+    def test_rows_match_the_scalar_bits_on_random_spectra(self, kind, rule, rng):
+        targets = random_weights(rng, kind, size=500)
+        values = oracle.kl_min_oracle_batch(targets, rule)
+        assert [v.hex() for v in values.tolist()] == [scalar_outcome(p, rule) for p in targets]
+
+    def test_first_refused_row_raises_its_scalar_error(self, rng):
+        valid = random_weights(rng, "general", size=2)
+        refused = sector_target((0.3, 0.0, 1e-310, 0.0), fock.SPIN_SECTOR, fock.VACUUM)
+        error, message = scalar_outcome(refused, "number")
+        assert error is OracleConvergenceError
+        with pytest.raises(OracleConvergenceError) as caught:
+            oracle.kl_min_oracle_batch([valid[0], refused, valid[1]], "number")
+        assert str(caught.value) == message
+
+    def test_each_row_goes_through_the_single_problem_oracle(self, rng, monkeypatch):
+        # a replaced kl_min_oracle sees every row, as a fault injected there must
+        targets = random_weights(rng, "general", size=5)
+        seen = []
+        real = oracle.kl_min_oracle
+
+        def spy(problem):
+            seen.append((problem.target.tolist(), problem.rule))
+            return dataclasses.replace(real(problem), value=1.0)
+
+        monkeypatch.setattr(oracle, "kl_min_oracle", spy)
+        assert oracle.kl_min_oracle_batch(targets, "parity").tolist() == [1.0] * 5
+        assert seen == [(p.tolist(), "parity") for p in targets]
+
+    def test_first_bad_target_raises_its_scalar_error(self, rng):
+        valid = random_weights(rng, "general", size=2)
+        negative = valid[1].copy()
+        negative[[fock.VACUUM, 1]] += (-negative[fock.VACUUM] - 2e-12, negative[fock.VACUUM] + 2e-12)
+        error, message = scalar_outcome(negative, "number")
+        assert (error, message) == (ValueError, "target must be a probability vector")
+        nan_row = np.full(16, np.nan)
+        with pytest.raises(ValueError) as caught:
+            oracle.kl_min_oracle_batch([valid[0], negative, nan_row], "number")
+        assert str(caught.value) == message
+        with pytest.raises(ValueError, match="finite"):
+            oracle.kl_min_oracle_batch([valid[0], nan_row, negative], "number")
+
+    def test_rejects_what_the_problem_rejects(self, rng):
+        valid = random_weights(rng, "general", size=2)
+        opposite_infinities = np.full(16, 1 / 16.0)
+        opposite_infinities[:2] = (np.inf, -np.inf)  # a NaN sum, refused without a warning
+        for rows in ([valid[0], opposite_infinities], [valid[0], np.full(16, 1.0)]):
+            with pytest.raises(ValueError) as batch:
+                oracle.kl_min_oracle_batch(rows, "number")
+            with pytest.raises(ValueError) as scalar:
+                oracle.ConstrainedSimplexProblem(rows[1], "number")
+            assert str(batch.value) == str(scalar.value)
+        with pytest.raises(ValueError, match="unknown superselection rule 'charge'"):
+            oracle.kl_min_oracle_batch(valid, "charge")
+        # the first row's target check comes before the rule, as for one problem
+        with pytest.raises(ValueError, match="probability vector"):
+            oracle.kl_min_oracle_batch([np.full(16, 1.0)], "charge")
+        with pytest.raises(ValueError, match="rows of 16"):
+            oracle.kl_min_oracle_batch(valid[0], "number")
+        assert oracle.kl_min_oracle_batch(np.empty((0, 16)), "parity").shape == (0,)
+
+    def test_float_sum_matches_numpy_bits(self, rng):
+        rows = rng.random((20_000, 16)) * 10.0 ** rng.uniform(-40, 0, (20_000, 16))
+        rows[::3, ::4] = -0.0
+        rows[1::3, 5] = 5e-324
+        rows[2::3, 2] = -1e-13
+        rows[::7] = -0.0
+        rows[1::7, :8] = 1e-310
+        rows[2::7] /= rows[2::7].sum(axis=1, keepdims=True)
+        sums = [oracle._sum16(row).hex() for row in rows.tolist()]
+        assert sums == [row.sum().hex() for row in rows]
+
+    def test_signed_zeros_from_the_clip_survive(self):
+        p = np.full(16, 1 / 13.0)
+        p[[1, 2, 3]] = (-0.0, -5e-13, 0.0)
+        p[0] += 5e-13
+        clipped = np.clip(p, 0.0, None)
+        sol = oracle.kl_min_oracle(oracle.ConstrainedSimplexProblem(p, "number"))
+        outside = [i for i in range(16) if i not in fock.SPIN_SECTOR]
+        assert [w.hex() for w in sol.weights[outside]] == [w.hex() for w in clipped[outside]]
+        assert sol.weights.dtype == np.float64
 
 
 class TestBrentq:

@@ -1,10 +1,10 @@
 """Property tests at the tolerance edges: the closed formulas against the KL
 oracle beside the separability boundary and beside ``DEGENERATE_TOL``,
-superselection monotonicity, the oracle's certify-or-refuse contract on
-arbitrary sectors, the simplex guard of the general sector solution and its
-refusal of a rounding-level closest weight, and the state-file round trip and
-its rejection of malformed input.  Derandomized, so every run draws the same
-examples."""
+superselection monotonicity, the twirl's non-increase of entanglement, the
+oracle's certify-or-refuse contract on arbitrary sectors, the simplex guard
+of the general sector solution and its refusal of a rounding-level closest
+weight, and the state-file round trip and its rejection of malformed input.
+Derandomized, so every run draws the same examples."""
 
 import contextlib
 import io
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orbent import cli, fock, oracle, sampling, stateio
+from orbent import cli, fock, oracle, sampling, ssr, stateio
 from orbent import entanglement as ent
 from orbent.errors import DegenerateSectorError, OracleConvergenceError, OrbentError
 
@@ -96,6 +96,23 @@ def test_number_rule_never_exceeds_parity_rule(seed, doublon):
     e_number = ent.orbital_entanglement(state, "number").value
     e_parity = ent.orbital_entanglement(state, "parity").value
     assert e_number <= e_parity + 1e-12
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), singlet=st.floats(0.0, 1.0))
+def test_twirl_never_increases_entanglement(seed, singlet):
+    # data processing: E(twirl(rho)) <= S(rho || sigma) for every separable
+    # sigma; the tightest one at hand is the closest separable state of the
+    # twirled input
+    state = sampling.random_separable_symmetric_state(np.random.default_rng(seed))
+    v = fock.build_symmetry_basis("number").vector(fock.SINGLET)
+    mixed = fock.TwoOrbitalState((1.0 - singlet) * state.matrix + singlet * np.outer(v, v.conj()))
+    projected = ssr.nssr_project(mixed)
+    twirled = ssr.twirl(projected, "total_spin")
+    weights = ent.sector_spectrum(twirled).weights
+    e_twirled = oracle.kl_min_oracle(oracle.ConstrainedSimplexProblem(weights, "number")).value
+    sigma = ent.closest_separable_state(twirled, "number")
+    assert e_twirled <= fock.relative_entropy(projected, sigma) + 1e-10
 
 
 @PROPERTY
