@@ -242,7 +242,9 @@ def cmd_lmin(args: argparse.Namespace) -> int:
 
 
 def cmd_ehm_scan(args: argparse.Namespace) -> int:
-    from . import lattice  # the ED stack loads scipy.sparse.linalg: only its commands pay
+    # the ED stack loads scipy.sparse and scipy.linalg (Lanczos, and ARPACK for a
+    # degenerate ground state): only its commands pay
+    from . import lattice
 
     units, scale = _unit_scale(args)
     length = args.length

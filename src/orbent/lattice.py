@@ -17,6 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.blas import daxpy, ddot, dnrm2
 
 from . import fock
 from .entanglement import EntanglementResult, orbital_entanglement
@@ -48,6 +50,21 @@ MAX_HAMILTONIAN_BYTES = 512 * 2**20
 DENSE_CUTOFF = 2000
 DEGENERACY_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
+#: Lanczos stops at these lowest Ritz residuals: the ground run, the gap run.
+GROUND_RITZ_TOL = 1e-13
+GAP_RITZ_TOL = 1e-8
+#: Fractions of the operator's norm bound.  A Ritz residual near rounding
+#: times the norm is where a plain Lanczos run loses orthogonality and ghost
+#: copies start to mix into the lowest Ritz pair, so no run asks for less
+#: than ``ROUNDING_RITZ`` times the norm.  A ``beta`` at or below
+#: ``BREAKDOWN_TOL`` times the norm means the Krylov space has closed: what
+#: is left is rounding, amplified by the lost orthogonality (2e-11 times the
+#: norm on the periodic L = 4 ring at U = 4), while a genuine ``beta`` of the
+#: L = 8 chains stays above 0.05 times it.
+ROUNDING_RITZ = 1e-15
+BREAKDOWN_TOL = 1e-10
+LANCZOS_CHECK_EVERY = 10
+LANCZOS_MAX_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -230,7 +247,20 @@ class GroundState:
     """Lowest eigenpair of a sector Hamiltonian.
 
     ``multiplet`` holds every computed eigenvector within the degeneracy
-    tolerance of the lowest energy (the ground vector first).
+    tolerance of the lowest energy (the ground vector first).  ``matvecs``
+    counts the sparse products the iterative solver spent (0 on the dense
+    path; the residual check is not counted).
+
+    The degeneracy rule: ``energy_gap`` is ``E1 - E0`` for the lowest level
+    ``E1`` that has an eigenvector orthogonal to ``amplitudes``, so a
+    degenerate partner gives a gap of zero.  Below ``DEGENERACY_TOL`` the
+    state is ``degenerate`` and ``multiplet`` holds the whole multiplet (up to
+    six vectors).  A single-vector Lanczos run sees only one vector of an
+    eigenspace, and its lost orthogonality shows converged levels again as
+    ghost copies, so its tridiagonal can say nothing about multiplicity
+    (Cullum & Willoughby, *Lanczos Algorithms for Large Symmetric Eigenvalue
+    Computations*, 1985).  The gap therefore comes from a separate run on the
+    deflated operator; see :func:`ground_state`.
     """
 
     energy: float
@@ -239,6 +269,7 @@ class GroundState:
     degenerate: bool
     energy_gap: float
     multiplet: tuple
+    matvecs: int
 
     def __post_init__(self):
         if abs(np.linalg.norm(self.amplitudes) - 1.0) > 1e-12:
@@ -248,13 +279,82 @@ class GroundState:
 
 
 def _lowest_eigenpairs(hamiltonian: sparse.spmatrix, k: int, v0: np.ndarray):
-    """The ``k`` lowest eigenpairs by Lanczos, in ascending order."""
+    """The ``k`` lowest eigenpairs by ARPACK, in ascending order, and its matvec count."""
+    matvecs = 0
+
+    def apply(x):
+        nonlocal matvecs
+        matvecs += 1
+        return hamiltonian @ x
+
+    operator = sparse_linalg.LinearOperator(hamiltonian.shape, matvec=apply,
+                                            dtype=hamiltonian.dtype)
     try:
-        energies, vectors = sparse_linalg.eigsh(hamiltonian, k=k, which="SA", v0=v0)
+        energies, vectors = sparse_linalg.eigsh(operator, k=k, which="SA", v0=v0)
     except sparse_linalg.ArpackNoConvergence as exc:
         raise OrbentError(f"eigensolver did not converge: {exc}") from exc
     order = np.argsort(energies)
-    return energies[order], vectors[:, order]
+    return energies[order], vectors[:, order], matvecs
+
+
+def _three_term(w, q, q_prev, alpha, beta_prev):
+    """``w - alpha q - beta_prev q_prev`` in place: the unnormalized next vector."""
+    daxpy(q, w, a=-alpha)
+    if beta_prev:
+        daxpy(q_prev, w, a=-beta_prev)
+    return w
+
+
+def _lanczos_lowest(apply, start: np.ndarray, tol: float, norm: float):
+    """Lowest Ritz pair of a plain Lanczos run, without reorthogonalization.
+
+    Checks the tridiagonal every ``LANCZOS_CHECK_EVERY`` steps and stops when
+    the lowest Ritz residual ``|beta_m s_m0|`` is below ``tol`` (at least
+    ``ROUNDING_RITZ * norm``, where ``norm`` bounds the operator's norm).  A
+    rounding-level ``beta`` means the Krylov space has closed: it bounds every
+    Ritz residual, so the run ends there and never divides by it.  Returns the
+    Ritz value, its coordinates ``s`` in the Lanczos basis and the ``alpha``
+    and ``beta`` that rebuild the basis.
+    """
+    tol = max(tol, ROUNDING_RITZ * norm)
+    floor = max(tol, BREAKDOWN_TOL * norm)
+    alphas, betas = [], []
+    q, q_prev, beta = start, start, 0.0
+    for step in range(1, LANCZOS_MAX_STEPS + 1):
+        w = apply(q)
+        alpha = ddot(q, w)
+        w = _three_term(w, q, q_prev, alpha, beta)
+        beta = dnrm2(w)
+        alphas.append(alpha)
+        closed = beta <= floor
+        if closed or step % LANCZOS_CHECK_EVERY == 0:
+            theta, s = eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
+            if closed or beta * abs(s[-1, 0]) < tol:
+                return float(theta[0]), s[:, 0], alphas, betas
+        betas.append(beta)
+        w *= 1.0 / beta
+        q_prev, q = q, w
+    raise OrbentError(f"eigensolver did not converge in {LANCZOS_MAX_STEPS} Lanczos steps")
+
+
+def _ritz_vector(apply, start: np.ndarray, s: np.ndarray, alphas, betas) -> np.ndarray:
+    """Second pass: rebuild the Lanczos basis from its start and sum ``Q s``."""
+    x = s[0] * start
+    q, q_prev, beta = start, start, 0.0
+    for k in range(1, len(s)):
+        w = _three_term(apply(q), q, q_prev, alphas[k - 1], beta)
+        beta = betas[k - 1]
+        w *= 1.0 / beta
+        q_prev, q = q, w
+        daxpy(q, x, a=s[k])
+    return x
+
+
+def _gershgorin_interval(hamiltonian: sparse.spmatrix) -> tuple[float, float]:
+    """An interval that holds the whole spectrum: the union of Gershgorin discs."""
+    diag = hamiltonian.diagonal()
+    radius = abs(hamiltonian) @ np.ones(hamiltonian.shape[0]) - np.abs(diag)
+    return float((diag - radius).min()), float((diag + radius).max())
 
 
 def ground_state(hamiltonian: sparse.spmatrix, *, seed: int = 7,
@@ -262,21 +362,51 @@ def ground_state(hamiltonian: sparse.spmatrix, *, seed: int = 7,
                  dense_cutoff: int = DENSE_CUTOFF) -> GroundState:
     """Lowest eigenpair, dense below ``dense_cutoff``, else Lanczos with fixed seed.
 
-    Lanczos asks for the two lowest eigenpairs, which give the energy, the
-    gap and the degeneracy test.  When the test fires, it solves once more
-    for the six lowest from the same start vector, so that ``multiplet``
-    holds the whole degenerate multiplet (up to six vectors).
+    Above the cutoff, a plain three-term Lanczos run (Weiße & Fehske, Lect.
+    Notes Phys. 739 (2008), §3) from a seeded start finds ``E0`` to a Ritz
+    residual of ``GROUND_RITZ_TOL``; a second pass from the same start
+    rebuilds its Ritz vector.  The gap comes from a one-pass run from an
+    independent seeded start on ``H + s psi psi^T``, where ``s`` is a
+    Gershgorin bound of the spectral width: the shift lifts ``psi`` above the
+    spectrum and leaves every other level, so the lowest Ritz value of that
+    run, to a residual of ``GAP_RITZ_TOL``, is ``E1``.  A degenerate partner
+    of ``psi`` stays at ``E0`` there.  When ``E1 - E0 < degeneracy_tol``,
+    ARPACK solves for the ``min(6, dim - 1)`` lowest pairs from the first
+    start vector, so that ``multiplet`` holds the whole multiplet; a single
+    Lanczos vector cannot.  The Lanczos runs take a real symmetric matrix.
     """
     dim = hamiltonian.shape[0]
+    matvecs = 0
     if dim <= dense_cutoff:
         energies, vectors = np.linalg.eigh(hamiltonian.toarray())
     else:
-        v0 = np.random.default_rng(seed).normal(size=dim)
+        rng = np.random.default_rng(seed)
+        v0 = rng.normal(size=dim)
         v0 /= np.linalg.norm(v0)
-        k = min(2, dim - 1)
-        energies, vectors = _lowest_eigenpairs(hamiltonian, k, v0)
-        if k < min(6, dim - 1) and energies[1] - energies[0] < degeneracy_tol:
-            energies, vectors = _lowest_eigenpairs(hamiltonian, min(6, dim - 1), v0)
+        low, high = _gershgorin_interval(hamiltonian)
+        norm, width = max(-low, high), high - low
+
+        def apply(x):
+            nonlocal matvecs
+            matvecs += 1
+            return hamiltonian @ x
+
+        e0, s, alphas, betas = _lanczos_lowest(apply, v0, GROUND_RITZ_TOL, norm)
+        psi = _ritz_vector(apply, v0, s, alphas, betas)
+        psi /= np.linalg.norm(psi)
+        e1 = math.inf
+        if dim > 1:
+            v1 = rng.normal(size=dim)
+            v1 /= np.linalg.norm(v1)
+
+            def apply_deflated(x):
+                return daxpy(psi, apply(x), a=width * ddot(psi, x))
+
+            e1 = _lanczos_lowest(apply_deflated, v1, GAP_RITZ_TOL, norm + width)[0]
+        energies, vectors = np.array([e0, e1]), psi[:, None]
+        if e1 - e0 < degeneracy_tol:
+            energies, vectors, arpack = _lowest_eigenpairs(hamiltonian, min(6, dim - 1), v0)
+            matvecs += arpack
 
     e0 = float(energies[0])
     psi = vectors[:, 0] / np.linalg.norm(vectors[:, 0])
@@ -290,6 +420,7 @@ def ground_state(hamiltonian: sparse.spmatrix, *, seed: int = 7,
         degenerate=len(in_multiplet) > 1,
         energy_gap=gap,
         multiplet=tuple(vectors[:, i] / np.linalg.norm(vectors[:, i]) for i in in_multiplet),
+        matvecs=matvecs,
     )
 
 
@@ -378,11 +509,10 @@ def _pair_rdm_from_vector(psi: np.ndarray, basis: SectorBasis, i: int, j: int) -
     rows = kept16[ku[:, None], kd[None, :]]
     n_env_d = int(env_d.max()) + 1
     cols = env_u[:, None] * n_env_d + env_d[None, :]
-    collected = sparse.coo_matrix(
-        (values.ravel(), (rows.ravel(), cols.ravel())),
-        shape=(fock.DIM, (int(env_u.max()) + 1) * n_env_d),
-    ).tocsr()
-    return (collected @ collected.conj().T).toarray()
+    # each basis state is one (kept, environment) pair, so the scatter never collides
+    collected = np.zeros((fock.DIM, (int(env_u.max()) + 1) * n_env_d), dtype=values.dtype)
+    collected[rows, cols] = values
+    return collected @ collected.conj().T
 
 
 def two_orbital_rdm(state: GroundState | np.ndarray, basis: SectorBasis,

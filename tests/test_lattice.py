@@ -192,6 +192,151 @@ class TestGroundState:
         for v in gs.multiplet:
             assert np.linalg.norm(h @ v - gs.energy * v) < lattice.RESIDUAL_TOL
 
+    def test_dense_path_spends_no_matvecs(self):
+        gs = lattice.ground_state(lattice.build_hamiltonian(lattice.ChainSpec(4, 2, 2, u=4.0)))
+        assert gs.matvecs == 0
+
+
+def _arpack_reference(h, seed=7):
+    v0 = np.random.default_rng(seed).normal(size=h.shape[0])
+    energies, vectors, _ = lattice._lowest_eigenpairs(h, 2, v0 / np.linalg.norm(v0))
+    return energies, vectors[:, 0]
+
+
+class TestLanczosSolver:
+    """The two-pass Lanczos ground state and its deflated gap run."""
+
+    @staticmethod
+    def assert_matches(gs, h, energies, vector):
+        assert gs.energy == pytest.approx(energies[0], abs=1e-11)
+        assert gs.energy_gap == pytest.approx(energies[1] - energies[0], abs=1e-9)
+        assert gs.residual < 1e-12
+        assert np.linalg.norm(h @ gs.amplitudes - gs.energy * gs.amplitudes) == gs.residual
+        assert abs(gs.amplitudes @ vector) == pytest.approx(1.0, abs=1e-12)
+        assert not gs.degenerate and len(gs.multiplet) == 1
+
+    @pytest.mark.parametrize("u, v", [(6.0, 3.0), (0.0, 4.0)])
+    def test_l6_matches_dense_and_arpack(self, u, v):
+        h = lattice.build_hamiltonian(lattice.ChainSpec(6, 3, 3, u=u, v=v))
+        gs = lattice.ground_state(h, dense_cutoff=10)
+        assert gs.matvecs > 0
+        energies, vectors = np.linalg.eigh(h.toarray())
+        self.assert_matches(gs, h, energies, vectors[:, 0])
+        self.assert_matches(gs, h, *_arpack_reference(h))
+
+    @pytest.mark.parametrize("u, v", [(0.0, 0.0), (6.0, 3.0), (0.0, 4.0)])
+    def test_l8_matches_arpack(self, u, v):
+        # a dense solve of the 4,900 states takes seconds; ARPACK and, at
+        # U = V = 0, the single-particle levels are the references
+        h = lattice.build_hamiltonian(lattice.ChainSpec(8, 4, 4, u=u, v=v))
+        gs = lattice.ground_state(h)
+        self.assert_matches(gs, h, *_arpack_reference(h))
+        if u == v == 0.0:
+            levels = np.linalg.eigvalsh(np.diag(np.full(7, -1.0), 1) + np.diag(np.full(7, -1.0), -1))
+            assert gs.energy == pytest.approx(2 * levels[:4].sum(), abs=1e-11)
+            # one electron lifted from the highest filled level to the lowest empty one
+            assert gs.energy_gap == pytest.approx(levels[4] - levels[3], abs=1e-9)
+
+    def test_gapped_chains_never_reach_arpack(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ARPACK ran on a gapped chain")
+
+        monkeypatch.setattr(lattice, "_lowest_eigenpairs", refuse)
+        for chain in (lattice.ChainSpec(8, 4, 4, u=6.0, v=3.0), lattice.ChainSpec(6, 3, 3, u=4.0)):
+            gs = lattice.ground_state(lattice.build_hamiltonian(chain), dense_cutoff=10)
+            assert not gs.degenerate and gs.energy_gap > 0.1
+
+    def test_same_seed_gives_identical_amplitudes(self):
+        h = lattice.build_hamiltonian(lattice.ChainSpec(8, 4, 4, u=6.0, v=3.0))
+        first, second = lattice.ground_state(h, seed=11), lattice.ground_state(h, seed=11)
+        assert np.array_equal(first.amplitudes, second.amplitudes)
+        assert (first.energy, first.energy_gap, first.matvecs) == (
+            second.energy, second.energy_gap, second.matvecs)
+
+    def test_step_cap_raises_a_typed_error(self, monkeypatch):
+        monkeypatch.setattr(lattice, "LANCZOS_MAX_STEPS", 15)
+        h = lattice.build_hamiltonian(lattice.ChainSpec(6, 3, 3, u=4.0, v=1.0))
+        with pytest.raises(OrbentError, match="did not converge in 15 Lanczos steps"):
+            lattice.ground_state(h, dense_cutoff=10)
+
+    @pytest.fixture
+    def run_steps(self, monkeypatch):
+        """Steps of each Lanczos run, in order: the ground run, then the gap run."""
+        steps = []
+        run = lattice._lanczos_lowest
+
+        def recorded(*args):
+            result = run(*args)
+            steps.append(len(result[2]))
+            return result
+
+        monkeypatch.setattr(lattice, "_lanczos_lowest", recorded)
+        return steps
+
+    def test_repeated_diagonal_closes_the_krylov_space(self, run_steps):
+        import scipy.sparse as sparse
+
+        # three distinct entries: each run ends when its Krylov space closes,
+        # before the first periodic check, and never divides by the zero beta
+        h = sparse.diags([3.0, 1.0, 3.0, -2.0, 1.0, 3.0]).tocsr()
+        gs = lattice.ground_state(h, dense_cutoff=0)
+        # the shift lifts the ground vector onto the top entry: two levels are left
+        assert run_steps == [3, 2]
+        assert gs.energy == pytest.approx(-2.0, abs=1e-14)
+        assert gs.energy_gap == pytest.approx(3.0, abs=1e-14)
+        assert abs(gs.amplitudes[3]) == pytest.approx(1.0, abs=1e-14)
+        assert gs.matvecs == 3 + 2 + 2
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_tiny_sectors_match_dense(self, dim, run_steps):
+        import scipy.sparse as sparse
+
+        a = np.random.default_rng(dim).normal(size=(dim, dim))
+        h = sparse.csr_matrix(a + a.T)
+        gs = lattice.ground_state(h, dense_cutoff=0)
+        # each run closes after dim steps, at a rounding-level beta
+        assert run_steps == ([dim, dim] if dim > 1 else [1])
+        energies, vectors = np.linalg.eigh(a + a.T)
+        assert gs.energy == pytest.approx(energies[0], abs=1e-12)
+        assert abs(gs.amplitudes @ vectors[:, 0]) == pytest.approx(1.0, abs=1e-12)
+        expected_gap = energies[1] - energies[0] if dim > 1 else math.inf
+        assert gs.energy_gap == pytest.approx(expected_gap, abs=1e-12)
+        assert not gs.degenerate
+
+    def test_periodic_l4_ring_closes_and_falls_back(self, run_steps, monkeypatch):
+        # the free ring's four-fold level: each Lanczos run ends when its
+        # Krylov space closes, and ARPACK gives the whole multiplet
+        h = lattice.build_hamiltonian(lattice.ChainSpec(4, 2, 2, boundary="periodic"))
+        arpack = []
+        solve = lattice._lowest_eigenpairs
+
+        def recorded(*args):
+            result = solve(*args)
+            arpack.append((args[1], result[2]))
+            return result
+
+        monkeypatch.setattr(lattice, "_lowest_eigenpairs", recorded)
+        gs = lattice.ground_state(h, dense_cutoff=0)
+        dense = lattice.ground_state(h)
+        assert len(run_steps) == 2 and max(run_steps) < lattice.LANCZOS_CHECK_EVERY
+        [(k, arpack_matvecs)] = arpack
+        assert k == 6
+        assert gs.matvecs == 2 * run_steps[0] - 1 + run_steps[1] + arpack_matvecs
+        assert gs.energy == pytest.approx(dense.energy, abs=1e-12)
+        assert gs.degenerate and len(gs.multiplet) == len(dense.multiplet) == 4
+
+    def test_interacting_l4_ring_stops_where_its_krylov_space_closes(self, run_steps):
+        # the ring's symmetries keep the ground run in fewer levels than the
+        # 36 states; it ends at the closing beta (about 2e-11 times the norm)
+        # instead of dividing by it and running on among ghost copies
+        h = lattice.build_hamiltonian(lattice.ChainSpec(4, 2, 2, u=4.0, boundary="periodic"))
+        gs = lattice.ground_state(h, dense_cutoff=0)
+        assert run_steps[0] < h.shape[0]
+        energies = np.linalg.eigvalsh(h.toarray())
+        assert gs.energy == pytest.approx(energies[0], abs=1e-12)
+        assert gs.energy_gap == pytest.approx(energies[1] - energies[0], abs=1e-9)
+        assert gs.residual < 1e-10 and not gs.degenerate
+
 
 class TestTwoOrbitalRdm:
     def test_dimer_weights_and_entanglement(self):

@@ -3,7 +3,8 @@ oracle beside the separability boundary and beside ``DEGENERATE_TOL``,
 superselection monotonicity, the twirl's non-increase of entanglement, the
 oracle's certify-or-refuse contract on arbitrary sectors, the simplex guard
 of the general sector solution and its refusal of a rounding-level closest
-weight, and the state-file round trip and its rejection of malformed input.
+weight, the state-file round trip and its rejection of malformed input, and
+the Lanczos ground state against dense diagonalization on small chains.
 Derandomized, so every run draws the same examples."""
 
 import contextlib
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orbent import cli, fock, oracle, sampling, ssr, stateio
+from orbent import cli, fock, lattice, oracle, sampling, ssr, stateio
 from orbent import entanglement as ent
 from orbent.errors import DegenerateSectorError, OracleConvergenceError, OrbentError
 
@@ -259,3 +260,27 @@ def test_malformed_state_is_a_usage_error(seed, kind, where, size):
                 contextlib.redirect_stderr(io.StringIO()) as err:
             code = cli.main(["formula", str(path)])
     assert code == cli.EXIT_USAGE, err.getvalue()
+
+
+@st.composite
+def small_chains(draw):
+    length = draw(st.integers(4, 6))
+    return lattice.ChainSpec(
+        length, draw(st.integers(0, length)), draw(st.integers(0, length)),
+        u=draw(st.floats(0.0, 8.0)), v=draw(st.floats(0.0, 4.0)),
+        boundary=draw(st.sampled_from(["open", "periodic"])),
+    )
+
+
+@PROPERTY
+@given(chain=small_chains())
+def test_lanczos_ground_state_matches_dense(chain):
+    h = lattice.build_hamiltonian(chain)
+    levels = np.linalg.eigvalsh(h.toarray())
+    gs = lattice.ground_state(h, dense_cutoff=0)
+    assert abs(gs.energy - levels[0]) <= 1e-10
+    assert gs.residual < lattice.RESIDUAL_TOL
+    dense_gap = levels[1] - levels[0] if len(levels) > 1 else math.inf
+    # between the two bounds the verdict may go either way at rounding level
+    if dense_gap > 1e-6 or dense_gap < 1e-12:
+        assert gs.degenerate == (dense_gap < lattice.DEGENERACY_TOL)
