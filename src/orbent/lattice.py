@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
-from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import daxpy, ddot, dnrm2
+from scipy.linalg.lapack import dstebz, dstein
 
 from . import fock
 from .entanglement import EntanglementResult, orbital_entanglement
@@ -47,6 +47,9 @@ MAX_SITES = 14
 #: Largest sector Hamiltonian, in stored CSR bytes, that a build may start;
 #: the build itself peaks at about twice this (measured at L = 12).
 MAX_HAMILTONIAN_BYTES = 512 * 2**20
+#: Bytes of Lanczos vectors a ground run keeps for its Ritz vector, in one
+#: block; the steps past it are rebuilt by the three-term recurrence.
+LANCZOS_BASIS_BYTES = 16 * 2**20
 DENSE_CUTOFF = 2000
 DEGENERACY_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
@@ -110,6 +113,8 @@ class SectorBasis:
     length: int
     up_states: np.ndarray
     dn_states: np.ndarray
+    #: Pair-reduction tables by orbital pair, filled by :func:`_pair_tables`.
+    _pair_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -248,14 +253,17 @@ class GroundState:
 
     ``multiplet`` holds every computed eigenvector within the degeneracy
     tolerance of the lowest energy (the ground vector first).  ``matvecs``
-    counts the sparse products the iterative solver spent (0 on the dense
-    path; the residual check is not counted).
+    counts the sparse products the iterative solver spent: the ground run's
+    steps, the steps its Ritz vector rebuilds past the kept Lanczos block
+    (none when the block holds the whole run), the gap run's steps and any
+    ARPACK products (0 on the dense path; the residual check is not counted).
 
     The degeneracy rule: ``energy_gap`` is ``E1 - E0`` for the lowest level
     ``E1`` that has an eigenvector orthogonal to ``amplitudes``, so a
     degenerate partner gives a gap of zero.  Below ``DEGENERACY_TOL`` the
     state is ``degenerate`` and ``multiplet`` holds the whole multiplet (up to
-    six vectors).  A single-vector Lanczos run sees only one vector of an
+    six vectors; every one in a sector of at most seven states, which is
+    solved densely).  A single-vector Lanczos run sees only one vector of an
     eigenspace, and its lost orthogonality shows converged levels again as
     ghost copies, so its tridiagonal can say nothing about multiplicity
     (Cullum & Willoughby, *Lanczos Algorithms for Large Symmetric Eigenvalue
@@ -305,19 +313,47 @@ def _three_term(w, q, q_prev, alpha, beta_prev):
     return w
 
 
-def _lanczos_lowest(apply, start: np.ndarray, tol: float, norm: float):
+def _tridiagonal_lowest(alphas, betas):
+    """Lowest eigenpair of the Lanczos tridiagonal.
+
+    Makes the LAPACK calls of ``eigh_tridiagonal(alphas, betas, select="i",
+    select_range=(0, 0))``, bisection (``stebz``) and inverse iteration
+    (``stein``), with the same bits and without its argument handling.  Like
+    it, a non-finite entry raises ``ValueError``.
+    """
+    d = np.asarray_chkfinite(alphas, dtype=np.float64)
+    e = np.asarray_chkfinite(betas, dtype=np.float64)
+    if len(d) == 1:
+        return d[0], np.ones(1)
+    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info == 0:
+        s, info = dstein(d, e, w[:m], iblock, isplit)
+    if info:
+        raise OrbentError(f"tridiagonal eigensolver failed (LAPACK info {info})")
+    return w[0], s[:, 0]
+
+
+def _lanczos_lowest(apply, start: np.ndarray, tol: float, norm: float,
+                    krylov: np.ndarray | None = None):
     """Lowest Ritz pair of a plain Lanczos run, without reorthogonalization.
 
     Checks the tridiagonal every ``LANCZOS_CHECK_EVERY`` steps and stops when
     the lowest Ritz residual ``|beta_m s_m0|`` is below ``tol`` (at least
     ``ROUNDING_RITZ * norm``, where ``norm`` bounds the operator's norm).  A
     rounding-level ``beta`` means the Krylov space has closed: it bounds every
-    Ritz residual, so the run ends there and never divides by it.  Returns the
-    Ritz value, its coordinates ``s`` in the Lanczos basis and the ``alpha``
-    and ``beta`` that rebuild the basis.
+    Ritz residual, so the run ends there and never divides by it.  Row ``k``
+    of ``krylov``, a ``(rows, dim)`` block, receives the ``k``-th normalized
+    Lanczos vector (row 0 the start) while ``k < rows``.  Returns the Ritz
+    value, its coordinates ``s`` in the Lanczos basis and the ``alpha`` and
+    ``beta`` that rebuild the vectors past the block.
     """
     tol = max(tol, ROUNDING_RITZ * norm)
     floor = max(tol, BREAKDOWN_TOL * norm)
+    rows = 0
+    if krylov is not None:
+        rows = len(krylov)
+        krylov[0] = start
+        start = krylov[0]
     alphas, betas = [], []
     q, q_prev, beta = start, start, 0.0
     for step in range(1, LANCZOS_MAX_STEPS + 1):
@@ -328,20 +364,32 @@ def _lanczos_lowest(apply, start: np.ndarray, tol: float, norm: float):
         alphas.append(alpha)
         closed = beta <= floor
         if closed or step % LANCZOS_CHECK_EVERY == 0:
-            theta, s = eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
-            if closed or beta * abs(s[-1, 0]) < tol:
-                return float(theta[0]), s[:, 0], alphas, betas
+            theta, s = _tridiagonal_lowest(alphas, betas)
+            if closed or beta * abs(s[-1]) < tol:
+                return float(theta), s, alphas, betas
         betas.append(beta)
-        w *= 1.0 / beta
+        if step < rows:
+            w = np.multiply(w, 1.0 / beta, out=krylov[step])
+        else:
+            w *= 1.0 / beta
         q_prev, q = q, w
     raise OrbentError(f"eigensolver did not converge in {LANCZOS_MAX_STEPS} Lanczos steps")
 
 
-def _ritz_vector(apply, start: np.ndarray, s: np.ndarray, alphas, betas) -> np.ndarray:
-    """Second pass: rebuild the Lanczos basis from its start and sum ``Q s``."""
-    x = s[0] * start
-    q, q_prev, beta = start, start, 0.0
-    for k in range(1, len(s)):
+def _ritz_vector(apply, krylov: np.ndarray, s: np.ndarray, alphas, betas) -> np.ndarray:
+    """Sum ``Q s`` over the Lanczos vectors: the kept rows of ``krylov``, then the rest.
+
+    The vectors past the block are rebuilt by the three-term recurrence from
+    its last two rows, with the run's ``alpha`` and ``beta``, so they carry
+    the first pass's bits; with one row this is the classic second pass.
+    """
+    kept = min(len(s), len(krylov))
+    x = s[0] * krylov[0]
+    for k in range(1, kept):
+        daxpy(krylov[k], x, a=s[k])
+    q_prev, q = krylov[max(kept - 2, 0)], krylov[kept - 1]
+    beta = betas[kept - 2] if kept > 1 else 0.0
+    for k in range(kept, len(s)):
         w = _three_term(apply(q), q, q_prev, alphas[k - 1], beta)
         beta = betas[k - 1]
         w *= 1.0 / beta
@@ -364,16 +412,22 @@ def ground_state(hamiltonian: sparse.spmatrix, *, seed: int = 7,
 
     Above the cutoff, a plain three-term Lanczos run (Weiße & Fehske, Lect.
     Notes Phys. 739 (2008), §3) from a seeded start finds ``E0`` to a Ritz
-    residual of ``GROUND_RITZ_TOL``; a second pass from the same start
-    rebuilds its Ritz vector.  The gap comes from a one-pass run from an
-    independent seeded start on ``H + s psi psi^T``, where ``s`` is a
-    Gershgorin bound of the spectral width: the shift lifts ``psi`` above the
-    spectrum and leaves every other level, so the lowest Ritz value of that
-    run, to a residual of ``GAP_RITZ_TOL``, is ``E1``.  A degenerate partner
-    of ``psi`` stays at ``E0`` there.  When ``E1 - E0 < degeneracy_tol``,
-    ARPACK solves for the ``min(6, dim - 1)`` lowest pairs from the first
-    start vector, so that ``multiplet`` holds the whole multiplet; a single
-    Lanczos vector cannot.  The Lanczos runs take a real symmetric matrix.
+    residual of ``GROUND_RITZ_TOL``.  The run keeps its Lanczos vectors in one
+    block of at most ``LANCZOS_BASIS_BYTES`` (every step of an L = 8 chain,
+    33 of an L = 10 one) and sums its Ritz vector from them; the steps past
+    the block are rebuilt by the recurrence from its last two rows, which
+    repeats their products and gives the same bits.  The gap comes from a
+    one-pass run from an independent seeded start on ``H + s psi psi^T``,
+    where ``s`` is a Gershgorin bound of the spectral width: the shift lifts
+    ``psi`` above the spectrum and leaves every other level, so the lowest
+    Ritz value of that run, to a residual of ``GAP_RITZ_TOL``, is ``E1``.  A
+    degenerate partner of ``psi`` stays at ``E0`` there.  When ``E1 - E0 <
+    degeneracy_tol``, ARPACK solves for the ``min(6, dim - 1)`` lowest pairs
+    from the first start vector, so that ``multiplet`` holds the whole
+    multiplet; a single Lanczos vector cannot.  A sector of at most seven
+    states, where those ``dim - 1`` pairs could miss a multiplet that fills
+    it, is solved densely instead.  The Lanczos runs take a real symmetric
+    matrix.
     """
     dim = hamiltonian.shape[0]
     matvecs = 0
@@ -391,8 +445,11 @@ def ground_state(hamiltonian: sparse.spmatrix, *, seed: int = 7,
             matvecs += 1
             return hamiltonian @ x
 
-        e0, s, alphas, betas = _lanczos_lowest(apply, v0, GROUND_RITZ_TOL, norm)
-        psi = _ritz_vector(apply, v0, s, alphas, betas)
+        rows = max(1, min(LANCZOS_MAX_STEPS, LANCZOS_BASIS_BYTES // (8 * dim)))
+        krylov = np.empty((rows, dim))
+        e0, s, alphas, betas = _lanczos_lowest(apply, v0, GROUND_RITZ_TOL, norm, krylov)
+        psi = _ritz_vector(apply, krylov, s, alphas, betas)
+        del krylov  # freed before the gap run, which keeps no basis
         psi /= np.linalg.norm(psi)
         e1 = math.inf
         if dim > 1:
@@ -405,8 +462,12 @@ def ground_state(hamiltonian: sparse.spmatrix, *, seed: int = 7,
             e1 = _lanczos_lowest(apply_deflated, v1, GAP_RITZ_TOL, norm + width)[0]
         energies, vectors = np.array([e0, e1]), psi[:, None]
         if e1 - e0 < degeneracy_tol:
-            energies, vectors, arpack = _lowest_eigenpairs(hamiltonian, min(6, dim - 1), v0)
-            matvecs += arpack
+            if dim <= 7:
+                # ARPACK's k = dim - 1 pairs cannot hold a multiplet that fills the sector
+                energies, vectors = np.linalg.eigh(hamiltonian.toarray())
+            else:
+                energies, vectors, arpack = _lowest_eigenpairs(hamiltonian, min(6, dim - 1), v0)
+                matvecs += arpack
 
     e0 = float(energies[0])
     psi = vectors[:, 0] / np.linalg.norm(vectors[:, 0])
@@ -489,8 +550,16 @@ def _species_reduction_data(states: np.ndarray, i: int, j: int):
     return kept, env_rank, signs
 
 
-def _pair_rdm_from_vector(psi: np.ndarray, basis: SectorBasis, i: int, j: int) -> np.ndarray:
-    """16x16 reduced matrix of orbitals (i, j) with full fermionic parities."""
+def _pair_tables(basis: SectorBasis, i: int, j: int):
+    """Scatter index, combined signs and environment count of the pair (i, j).
+
+    The reduction of any vector on ``basis`` scatters its signed amplitudes
+    into a ``(16, n_env)`` array at the same places, so the tables are built
+    once per basis and pair and kept on the basis.
+    """
+    tables = basis._pair_tables.get((i, j))
+    if tables is not None:
+        return tables
     n_up_total = int(np.bitwise_count(basis.up_states[0]))
     ku, env_u, sign_u = _species_reduction_data(basis.up_states, i, j)
     kd, env_d, sign_d = _species_reduction_data(basis.dn_states, i, j)
@@ -504,14 +573,25 @@ def _pair_rdm_from_vector(psi: np.ndarray, basis: SectorBasis, i: int, j: int) -
     # down kept operators cross the remaining up modes of the environment
     cross = 1.0 - 2.0 * ((d_i * (n_up_total - u_i) + d_j * (n_up_total - u_i - u_j)) % 2)
 
-    amplitudes = psi.reshape(len(basis.up_states), len(basis.dn_states))
-    values = (amplitudes * sign_u[:, None] * sign_d[None, :] * cross[ku[:, None], kd[None, :]])
+    # every factor is +-1, so one combined sign gives the bits of the product
+    signs = (sign_u[:, None] * sign_d[None, :] * cross[ku[:, None], kd[None, :]]).ravel()
     rows = kept16[ku[:, None], kd[None, :]]
     n_env_d = int(env_d.max()) + 1
+    n_env = (int(env_u.max()) + 1) * n_env_d
     cols = env_u[:, None] * n_env_d + env_d[None, :]
     # each basis state is one (kept, environment) pair, so the scatter never collides
-    collected = np.zeros((fock.DIM, (int(env_u.max()) + 1) * n_env_d), dtype=values.dtype)
-    collected[rows, cols] = values
+    flat = (rows * n_env + cols).ravel()
+    tables = basis._pair_tables[(i, j)] = (flat, signs, n_env)
+    return tables
+
+
+def _pair_rdm_from_vector(psi: np.ndarray, basis: SectorBasis, i: int, j: int) -> np.ndarray:
+    """16x16 reduced matrix of orbitals (i, j) with full fermionic parities."""
+    flat, signs, n_env = _pair_tables(basis, i, j)
+    values = psi.reshape(basis.dim) * signs
+    collected = np.zeros(fock.DIM * n_env, dtype=values.dtype)
+    collected[flat] = values
+    collected = collected.reshape(fock.DIM, n_env)
     return collected @ collected.conj().T
 
 

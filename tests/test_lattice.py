@@ -285,7 +285,8 @@ class TestLanczosSolver:
         assert gs.energy == pytest.approx(-2.0, abs=1e-14)
         assert gs.energy_gap == pytest.approx(3.0, abs=1e-14)
         assert abs(gs.amplitudes[3]) == pytest.approx(1.0, abs=1e-14)
-        assert gs.matvecs == 3 + 2 + 2
+        # the ground run keeps its three vectors, so the Ritz vector costs no product
+        assert gs.matvecs == 3 + 2
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_tiny_sectors_match_dense(self, dim, run_steps):
@@ -321,9 +322,95 @@ class TestLanczosSolver:
         assert len(run_steps) == 2 and max(run_steps) < lattice.LANCZOS_CHECK_EVERY
         [(k, arpack_matvecs)] = arpack
         assert k == 6
-        assert gs.matvecs == 2 * run_steps[0] - 1 + run_steps[1] + arpack_matvecs
+        assert gs.matvecs == run_steps[0] + run_steps[1] + arpack_matvecs
         assert gs.energy == pytest.approx(dense.energy, abs=1e-12)
         assert gs.degenerate and len(gs.multiplet) == len(dense.multiplet) == 4
+
+    @staticmethod
+    def keep_rows(monkeypatch, rows, dim):
+        monkeypatch.setattr(lattice, "LANCZOS_BASIS_BYTES", rows * 8 * dim)
+
+    @pytest.mark.parametrize("chain, dense_cutoff", [
+        (lattice.ChainSpec(6, 3, 3, u=4.0, v=1.0), 10),
+        (lattice.ChainSpec(8, 4, 4, u=6.0, v=3.0), lattice.DENSE_CUTOFF),
+    ])
+    def test_kept_rows_do_not_move_a_bit(self, chain, dense_cutoff, run_steps, monkeypatch):
+        # the kept vectors are the ones the three-term rebuild makes, so
+        # keeping 1, 3 or every row gives the same bits; only the rebuild's
+        # products go away
+        h = lattice.build_hamiltonian(chain)
+        dim = h.shape[0]
+        solves = []
+        for rows in (1, 3, lattice.LANCZOS_MAX_STEPS):
+            self.keep_rows(monkeypatch, rows, dim)
+            run_steps.clear()
+            gs = lattice.ground_state(h, dense_cutoff=dense_cutoff)
+            ground, gap = run_steps
+            assert gs.matvecs == ground + max(ground - rows, 0) + gap
+            solves.append(gs)
+        first = solves[0]
+        for gs in solves[1:]:
+            assert np.array_equal(gs.amplitudes, first.amplitudes)
+            assert (gs.energy, gs.energy_gap, gs.residual, gs.degenerate) == (
+                first.energy, first.energy_gap, first.residual, first.degenerate)
+
+    def test_default_budget_keeps_every_l8_step(self, run_steps):
+        h = lattice.build_hamiltonian(lattice.ChainSpec(8, 4, 4, u=6.0, v=3.0))
+        gs = lattice.ground_state(h)
+        assert lattice.LANCZOS_BASIS_BYTES // (8 * h.shape[0]) > run_steps[0]
+        assert gs.matvecs == sum(run_steps)
+
+    def test_partial_block_at_l10_matches_the_one_row_solve(self, monkeypatch):
+        # the default budget keeps 33 of the L=10 ground run's ~130 vectors
+        # and rebuilds the rest from the last two kept rows
+        h = lattice.build_hamiltonian(lattice.ChainSpec(10, 5, 5, u=6.0, v=3.0))
+        assert 1 < lattice.LANCZOS_BASIS_BYTES // (8 * h.shape[0]) < 100
+        partial = lattice.ground_state(h)
+        self.keep_rows(monkeypatch, 1, h.shape[0])
+        single = lattice.ground_state(h)
+        assert np.array_equal(partial.amplitudes, single.amplitudes)
+        assert (partial.energy, partial.energy_gap, partial.residual) == (
+            single.energy, single.energy_gap, single.residual)
+        assert partial.matvecs < single.matvecs
+
+    def test_tridiagonal_solve_matches_eigh_tridiagonal(self):
+        from scipy.linalg import eigh_tridiagonal
+
+        rng = np.random.default_rng(12)
+        for m in range(1, 151):
+            alphas = list(rng.normal(size=m) * 3.0)
+            betas = list(rng.uniform(0.05, 2.0, size=m - 1))
+            theta, s = lattice._tridiagonal_lowest(alphas, betas)
+            ref_theta, ref_s = eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
+            assert theta == ref_theta[0]
+            assert np.array_equal(s, ref_s[:, 0])
+
+    def test_tridiagonal_failure_is_typed(self, monkeypatch):
+        def failing(d, *args):
+            n = len(d)
+            return 0, np.zeros(n), np.zeros(n, dtype=np.int32), np.zeros(n, dtype=np.int32), -3
+
+        monkeypatch.setattr(lattice, "dstebz", failing)
+        with pytest.raises(OrbentError, match="LAPACK info -3"):
+            lattice._tridiagonal_lowest([1.0, 2.0], [0.5])
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            lattice._tridiagonal_lowest([1.0, math.nan], [0.5])
+
+    @pytest.mark.parametrize("dim", [2, 3, 7])
+    def test_multiplet_filling_a_tiny_sector_comes_out_whole(self, dim, monkeypatch):
+        import scipy.sparse as sparse
+
+        # ARPACK's k = dim - 1 pairs cannot hold a level that fills the
+        # sector, so the degenerate branch solves these sectors densely
+        def refuse(*args, **kwargs):
+            raise AssertionError("ARPACK ran on a sector it cannot hold whole")
+
+        monkeypatch.setattr(lattice, "_lowest_eigenpairs", refuse)
+        gs = lattice.ground_state(sparse.diags(np.full(dim, 2.0)).tocsr(), dense_cutoff=0)
+        assert gs.energy == 2.0
+        assert gs.degenerate and gs.energy_gap == 0.0 and len(gs.multiplet) == dim
+        overlaps = np.array([[v @ w for w in gs.multiplet] for v in gs.multiplet])
+        assert np.abs(overlaps - np.eye(dim)).max() < 1e-12
 
     def test_interacting_l4_ring_stops_where_its_krylov_space_closes(self, run_steps):
         # the ring's symmetries keep the ground run in fewer levels than the
@@ -416,6 +503,44 @@ class TestTwoOrbitalRdm:
                 reference = fock.reduce_to_orbitals(dense, (i, j), length)
                 reduced = lattice._pair_rdm_from_vector(psi, basis, i, j)
                 assert np.abs(reduced - reference).max() < 1e-14
+
+    @staticmethod
+    def per_call_reduction(psi, basis, i, j):
+        """The reduction with every table rebuilt per call, multiplied sign by sign."""
+        n_up_total = int(np.bitwise_count(basis.up_states[0]))
+        ku, env_u, sign_u = lattice._species_reduction_data(basis.up_states, i, j)
+        kd, env_d, sign_d = lattice._species_reduction_data(basis.dn_states, i, j)
+        local = np.array([[0, 2], [1, 3]])
+        code_u, code_d = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
+        u_i, u_j = code_u >> 1, code_u & 1
+        d_i, d_j = code_d >> 1, code_d & 1
+        kept16 = 4 * local[u_i, d_i] + local[u_j, d_j]
+        cross = 1.0 - 2.0 * ((d_i * (n_up_total - u_i) + d_j * (n_up_total - u_i - u_j)) % 2)
+        amplitudes = psi.reshape(len(basis.up_states), len(basis.dn_states))
+        values = amplitudes * sign_u[:, None] * sign_d[None, :] * cross[ku[:, None], kd[None, :]]
+        rows = kept16[ku[:, None], kd[None, :]]
+        n_env_d = int(env_d.max()) + 1
+        cols = env_u[:, None] * n_env_d + env_d[None, :]
+        collected = np.zeros((fock.DIM, (int(env_u.max()) + 1) * n_env_d), dtype=values.dtype)
+        collected[rows, cols] = values
+        return collected @ collected.conj().T
+
+    @pytest.mark.parametrize("length, n_up, n_dn", [(6, 3, 3), (6, 2, 4), (8, 4, 4)])
+    def test_kept_pair_tables_give_the_per_call_bits(self, length, n_up, n_dn):
+        basis = lattice.sector_basis(length, n_up, n_dn)
+        chain = lattice.ChainSpec(length, n_up, n_dn, u=4.0, v=1.0)
+        psi = lattice.ground_state(lattice.build_hamiltonian(chain, basis)).amplitudes
+        rng = np.random.default_rng(length + n_up)
+        phased = psi * np.exp(1j * rng.uniform(0, 2 * np.pi, size=psi.size))
+        pairs = [(1, 2), (2, 1), (0, length - 1), (3, 1)]
+        for vector in (psi, phased, -psi):
+            for i, j in pairs:
+                reduced = lattice._pair_rdm_from_vector(vector, basis, i, j)
+                assert np.array_equal(reduced, self.per_call_reduction(vector, basis, i, j))
+        assert sorted(basis._pair_tables) == sorted(pairs)
+        tables = basis._pair_tables[(1, 2)]
+        lattice._pair_rdm_from_vector(psi, basis, 1, 2)
+        assert basis._pair_tables[(1, 2)] is tables
 
     def test_index_validation(self):
         basis = lattice.sector_basis(4, 2, 2)
