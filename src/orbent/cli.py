@@ -109,6 +109,8 @@ def _parse_grid(text: str) -> np.ndarray:
         return np.array([float(parts[0])])
     if len(parts) == 3:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValueError(f"grid endpoints must be finite, got {text!r}")
         return np.linspace(start, stop, count)
     raise ValueError(f"grid must be 'value' or 'start:stop:count', got {text!r}")
 

@@ -13,12 +13,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
 from scipy.linalg.blas import daxpy, ddot, dnrm2
 from scipy.linalg.lapack import dstebz, dstein
+from scipy.sparse._sparsetools import csr_matvec
 
 from . import fock
 from .entanglement import EntanglementResult, orbital_entanglement
@@ -50,6 +52,8 @@ MAX_HAMILTONIAN_BYTES = 512 * 2**20
 #: Bytes of Lanczos vectors a ground run keeps for its Ritz vector, in one
 #: block; the steps past it are rebuilt by the three-term recurrence.
 LANCZOS_BASIS_BYTES = 16 * 2**20
+#: Stored entries a pass of the Hamiltonian assembly fills at most (about).
+ASSEMBLY_ENTRIES = 2**18
 DENSE_CUTOFF = 2000
 DEGENERACY_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
@@ -93,6 +97,10 @@ class ChainSpec:
             raise ValueError("particle numbers must fit on the chain")
         if self.boundary not in ("open", "periodic"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
+        for name in ("t_hop", "u", "v"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def bonds(self) -> tuple[tuple[int, int], ...]:
@@ -150,7 +158,10 @@ def _occupancy(states: np.ndarray, length: int) -> np.ndarray:
 
 
 def _species_hopping(states: np.ndarray, length: int, bonds) -> sparse.csr_matrix:
-    """Single-species operator ``sum_bonds (f+_i f_j + f+_j f_i)`` with JW signs."""
+    """Single-species operator ``sum_bonds (f+_i f_j + f+_j f_i)`` with JW signs.
+
+    Canonical CSR (sorted columns, no duplicates), with 4-byte indices.
+    """
     n = len(states)
     rows, cols, vals = [], [], []
     for i, j in bonds:
@@ -159,33 +170,30 @@ def _species_hopping(states: np.ndarray, length: int, bonds) -> sparse.csr_matri
         has_j = (states >> j) & 1 == 1
         empty_i = (states >> i) & 1 == 0
         movable = np.nonzero(has_j & empty_i)[0]
-        if len(movable) == 0:
-            continue
         source = states[movable]
         target = source ^ ((1 << i) | (1 << j))
         parity = np.bitwise_count(source & between) & 1
         sign = 1.0 - 2.0 * parity
         dest = np.searchsorted(states, target)
-        rows.append(dest)
-        cols.append(movable)
-        vals.append(sign)
-    if not rows:
-        return sparse.csr_matrix((n, n))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    hop = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n))
-    return (hop + hop.T).tocsr()
+        # the hop and its conjugate; two bonds never join the same pair of states
+        rows += [dest, movable]
+        cols += [movable, dest]
+        vals += [sign, sign]
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return sparse.csr_matrix((vals[order], cols[order].astype(np.int32), indptr), shape=(n, n))
 
 
 def _hamiltonian_size(k_up: sparse.csr_matrix, k_dn: sparse.csr_matrix) -> tuple[int, int]:
     """Stored entries and CSR bytes of the sector Hamiltonian over these hoppings.
 
-    The two Kronecker terms never overlap (a hopping has no diagonal), and the
-    interaction adds the diagonal, so the count is exact unless an entry of
-    the sum is zero (``t_hop = 0``, or a zero interaction diagonal entry),
-    which the sum does not store.  Below 2**31 entries CSR stores 8-byte
-    values and 4-byte column indices and row pointers.
+    Each row holds its up hoppings, its down hoppings and one diagonal slot
+    (a hopping has no diagonal), so the count is exact unless an entry is
+    zero (``t_hop = 0``, or a zero interaction diagonal entry), which the
+    matrix does not store.  Below 2**31 entries CSR stores 8-byte values and
+    4-byte column indices and row pointers.
     """
     n_up, n_dn = k_up.shape[0], k_dn.shape[0]
     dim = n_up * n_dn
@@ -193,35 +201,88 @@ def _hamiltonian_size(k_up: sparse.csr_matrix, k_dn: sparse.csr_matrix) -> tuple
     return nnz, 12 * nnz + 4 * (dim + 1)
 
 
-def _kinetic(chain: ChainSpec, basis: SectorBasis) -> sparse.csr_matrix:
-    """Hopping part ``-t (K_up x 1 + 1 x K_dn)``; independent of ``u`` and ``v``.
+class _Kinetic(NamedTuple):
+    """CSR arrays of a sector Hamiltonian with its interaction diagonal left zero."""
 
+    indptr: np.ndarray
+    indices: np.ndarray
+    #: ``-t_hop * (+-1)`` at each hopping, 0 at each diagonal slot.
+    data: np.ndarray
+    #: Position in ``data`` of each row's diagonal slot, in row order.
+    diagonal: np.ndarray
+
+
+def _row_ranks(k: sparse.csr_matrix):
+    """Row, rank within its row, and whether its column lies past the diagonal, per entry."""
+    rows = np.repeat(np.arange(k.shape[0]), np.diff(k.indptr))
+    return rows, np.arange(k.nnz) - k.indptr[rows], k.indices > rows
+
+
+def _kinetic(chain: ChainSpec, basis: SectorBasis) -> _Kinetic:
+    """CSR arrays of ``-t (K_up x 1 + 1 x K_dn)`` plus a slot for each diagonal entry.
+
+    Independent of ``u`` and ``v``.  The arrays are assembled in place, with
+    no sparse sum: row ``(a, b)`` (up index ``a``, down index ``b``) stores,
+    by ascending column, the up hoppings to ``a' < a``, the down hoppings of
+    row ``b`` with the diagonal slot among them, then the up hoppings to
+    ``a' > a``, which is the sorted layout of the Kronecker sum.  Each
+    species' hopping is built once, and once for both when ``n_up == n_dn``.
     Refuses, before any sector-sized allocation, a sector whose Hamiltonian
     would exceed :data:`MAX_HAMILTONIAN_BYTES`.
     """
     bonds = chain.bonds
     k_up = _species_hopping(basis.up_states, chain.length, bonds)
-    k_dn = _species_hopping(basis.dn_states, chain.length, bonds)
+    k_dn = k_up if chain.n_up == chain.n_dn else _species_hopping(basis.dn_states,
+                                                                  chain.length, bonds)
     nnz, stored = _hamiltonian_size(k_up, k_dn)
     if stored > MAX_HAMILTONIAN_BYTES:
         raise OrbentError(
             f"sector Hamiltonian would store {nnz} nonzeros in {stored / 2**20:.0f} MiB, "
             f"above the {MAX_HAMILTONIAN_BYTES / 2**20:.0f} MiB limit"
         )
-    n_up, n_dn = len(basis.up_states), len(basis.dn_states)
-    return -chain.t_hop * (
-        sparse.kron(k_up, sparse.identity(n_dn, format="csr"), format="csr")
-        + sparse.kron(sparse.identity(n_up, format="csr"), k_dn, format="csr")
-    )
+    n_up, n_dn = k_up.shape[0], k_dn.shape[0]
+    hop = -chain.t_hop
+    rows_up, rank_up, past_up = _row_ranks(k_up)
+    rows_dn, rank_dn, past_dn = _row_ranks(k_dn)
+    deg_dn = np.diff(k_dn.indptr)
+    lengths = np.diff(k_up.indptr)[:, None] + (deg_dn + 1)[None, :]
+    # the preflight bounds nnz far below 2**31, so CSR keeps 4-byte indices
+    indptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int32)
+    starts = indptr[:-1].reshape(n_up, n_dn)
+    down_starts = starts + np.bincount(rows_up[~past_up], minlength=n_up)[:, None]
+    diagonal = down_starts + np.bincount(rows_dn[~past_dn], minlength=n_dn)[None, :]
+    indices = np.empty(nnz, dtype=np.int32)
+    data = np.empty(nnz)
+    # a few up rows at a time: the temporaries stay small and each pass fills
+    # one stretch of the arrays (at L = 12, 0.17 s against 0.3 s in one pass);
+    # values of the target's dtype and the slots' shape take numpy's fast path
+    step = max(1, ASSEMBLY_ENTRIES * n_up // nnz)
+    for a0 in range(0, n_up, step):
+        a1 = min(a0 + step, n_up)
+        slots = diagonal[a0:a1]
+        indices[slots] = np.arange(a0 * n_dn, a1 * n_dn, dtype=np.int32).reshape(slots.shape)
+        data[slots] = 0.0
+        slots = down_starts[a0:a1, rows_dn] + (rank_dn + past_dn)[None, :]
+        indices[slots] = np.arange(a0, a1, dtype=np.int32)[:, None] * n_dn + k_dn.indices
+        data[slots] = np.tile(hop * k_dn.data, (a1 - a0, 1))
+        up = slice(k_up.indptr[a0], k_up.indptr[a1])
+        slots = (starts[rows_up[up], :] + rank_up[up, None]
+                 + past_up[up, None] * (deg_dn + 1)[None, :])
+        indices[slots] = (k_up.indices[up] * n_dn)[:, None] + np.arange(n_dn, dtype=np.int32)
+        data[slots] = np.repeat(hop * k_up.data[up], n_dn).reshape(slots.shape)
+    return _Kinetic(indptr, indices, data, diagonal.ravel())
 
 
 def build_hamiltonian(chain: ChainSpec, basis: SectorBasis | None = None, *,
-                      kinetic: sparse.csr_matrix | None = None) -> sparse.csr_matrix:
+                      kinetic: _Kinetic | None = None) -> sparse.csr_matrix:
     """Sparse real-symmetric Hamiltonian on the sector basis.
 
-    ``kinetic`` is the hopping part built once for a chain that differs from
-    ``chain`` at most in ``u`` and ``v`` (as :func:`bond_scan` does); only
-    the interaction diagonal is then added to it.
+    Copies the hopping values of the :func:`_kinetic` arrays and writes the
+    interaction diagonal into their diagonal slots; the matrix shares their
+    row pointers and column indices unless an entry is exactly zero, which,
+    like a sparse sum, it does not store.  ``kinetic`` is built once for a
+    chain that differs from ``chain`` at most in ``u`` and ``v`` (as
+    :func:`bond_scan` does).
     """
     if basis is None:
         basis = sector_basis(chain.length, chain.n_up, chain.n_dn)
@@ -244,7 +305,14 @@ def build_hamiltonian(chain: ChainSpec, basis: SectorBasis | None = None, *,
         same_dn = np.einsum("ak,kl,al->a", occ_dn, shift, occ_dn) / 2.0
         cross = occ_up @ shift @ occ_dn.T
         diag += chain.v * (same_up[:, None] + same_dn[None, :] + cross)
-    return (kinetic + sparse.diags(diag.ravel())).tocsr()
+    data = kinetic.data.copy()
+    data[kinetic.diagonal] = diag.ravel()
+    indices, indptr = kinetic.indices, kinetic.indptr
+    stored = data != 0.0
+    if not stored.all():
+        data, indices = data[stored], indices[stored]
+        indptr = np.concatenate(([0], np.cumsum(stored)))[indptr].astype(np.int32)
+    return sparse.csr_matrix((data, indices, indptr), shape=(basis.dim, basis.dim))
 
 
 @dataclass(frozen=True)
@@ -341,11 +409,14 @@ def _lanczos_lowest(apply, start: np.ndarray, tol: float, norm: float,
     the lowest Ritz residual ``|beta_m s_m0|`` is below ``tol`` (at least
     ``ROUNDING_RITZ * norm``, where ``norm`` bounds the operator's norm).  A
     rounding-level ``beta`` means the Krylov space has closed: it bounds every
-    Ritz residual, so the run ends there and never divides by it.  Row ``k``
-    of ``krylov``, a ``(rows, dim)`` block, receives the ``k``-th normalized
-    Lanczos vector (row 0 the start) while ``k < rows``.  Returns the Ritz
-    value, its coordinates ``s`` in the Lanczos basis and the ``alpha`` and
-    ``beta`` that rebuild the vectors past the block.
+    Ritz residual, so the run ends there and never divides by it.
+    ``apply(x, out)`` writes the product into ``out``.  Row ``k`` of
+    ``krylov``, a ``(rows, dim)`` block, receives the ``k``-th normalized
+    Lanczos vector (row 0 the start) while ``k < rows``: the product is made
+    in that row and normalized there.  Later steps rotate through three
+    vectors of their own.  Returns the Ritz value, its coordinates ``s`` in
+    the Lanczos basis and the ``alpha`` and ``beta`` that rebuild the vectors
+    past the block.
     """
     tol = max(tol, ROUNDING_RITZ * norm)
     floor = max(tol, BREAKDOWN_TOL * norm)
@@ -354,12 +425,14 @@ def _lanczos_lowest(apply, start: np.ndarray, tol: float, norm: float,
         rows = len(krylov)
         krylov[0] = start
         start = krylov[0]
+    spare = [np.empty_like(start) for _ in range(3)]
     alphas, betas = [], []
     q, q_prev, beta = start, start, 0.0
     for step in range(1, LANCZOS_MAX_STEPS + 1):
-        w = apply(q)
+        # the vectors of steps - 1 and - 2 are never spare[step % 3]
+        w = apply(q, krylov[step] if step < rows else spare[step % 3])
         alpha = ddot(q, w)
-        w = _three_term(w, q, q_prev, alpha, beta)
+        _three_term(w, q, q_prev, alpha, beta)
         beta = dnrm2(w)
         alphas.append(alpha)
         closed = beta <= floor
@@ -368,10 +441,7 @@ def _lanczos_lowest(apply, start: np.ndarray, tol: float, norm: float,
             if closed or beta * abs(s[-1]) < tol:
                 return float(theta), s, alphas, betas
         betas.append(beta)
-        if step < rows:
-            w = np.multiply(w, 1.0 / beta, out=krylov[step])
-        else:
-            w *= 1.0 / beta
+        w *= 1.0 / beta
         q_prev, q = q, w
     raise OrbentError(f"eigensolver did not converge in {LANCZOS_MAX_STEPS} Lanczos steps")
 
@@ -389,8 +459,9 @@ def _ritz_vector(apply, krylov: np.ndarray, s: np.ndarray, alphas, betas) -> np.
         daxpy(krylov[k], x, a=s[k])
     q_prev, q = krylov[max(kept - 2, 0)], krylov[kept - 1]
     beta = betas[kept - 2] if kept > 1 else 0.0
+    spare = [np.empty_like(x) for _ in range(3)] if kept < len(s) else []
     for k in range(kept, len(s)):
-        w = _three_term(apply(q), q, q_prev, alphas[k - 1], beta)
+        w = _three_term(apply(q, spare[k % 3]), q, q_prev, alphas[k - 1], beta)
         beta = betas[k - 1]
         w *= 1.0 / beta
         q_prev, q = q, w
@@ -398,10 +469,28 @@ def _ritz_vector(apply, krylov: np.ndarray, s: np.ndarray, alphas, betas) -> np.
     return x
 
 
-def _gershgorin_interval(hamiltonian: sparse.spmatrix) -> tuple[float, float]:
+def _matvec(hamiltonian: sparse.csr_matrix, x: np.ndarray, out: np.ndarray,
+            data: np.ndarray | None = None) -> np.ndarray:
+    """``hamiltonian @ x`` into ``out``, by the kernel and with the bits of ``@``.
+
+    scipy's ``@`` calls ``csr_matvec`` on a new zeroed vector; this zeroes
+    ``out`` instead, so the product costs no allocation, dispatch or copy.
+    ``data`` replaces the stored values (``abs`` of them gives the product of
+    ``abs(hamiltonian)``).  ``x`` and ``out`` are contiguous float64 vectors.
+    """
+    out.fill(0.0)
+    n_rows, n_cols = hamiltonian.shape
+    csr_matvec(n_rows, n_cols, hamiltonian.indptr, hamiltonian.indices,
+               hamiltonian.data if data is None else data, x, out)
+    return out
+
+
+def _gershgorin_interval(hamiltonian: sparse.csr_matrix) -> tuple[float, float]:
     """An interval that holds the whole spectrum: the union of Gershgorin discs."""
+    dim = hamiltonian.shape[0]
     diag = hamiltonian.diagonal()
-    radius = abs(hamiltonian) @ np.ones(hamiltonian.shape[0]) - np.abs(diag)
+    row_sums = _matvec(hamiltonian, np.ones(dim), np.empty(dim), data=np.abs(hamiltonian.data))
+    radius = row_sums - np.abs(diag)
     return float((diag - radius).min()), float((diag + radius).max())
 
 
@@ -427,8 +516,12 @@ def ground_state(hamiltonian: sparse.spmatrix, *, seed: int = 7,
     multiplet; a single Lanczos vector cannot.  A sector of at most seven
     states, where those ``dim - 1`` pairs could miss a multiplet that fills
     it, is solved densely instead.  The Lanczos runs take a real symmetric
-    matrix.
+    matrix; every product they make is one ``csr_matvec`` kernel call into a
+    vector the run owns (:func:`_matvec`), with the bits of ``hamiltonian @
+    x``.  A matrix in another sparse format is converted to CSR first.
     """
+    if hamiltonian.format != "csr":
+        hamiltonian = hamiltonian.tocsr()
     dim = hamiltonian.shape[0]
     matvecs = 0
     if dim <= dense_cutoff:
@@ -440,10 +533,10 @@ def ground_state(hamiltonian: sparse.spmatrix, *, seed: int = 7,
         low, high = _gershgorin_interval(hamiltonian)
         norm, width = max(-low, high), high - low
 
-        def apply(x):
+        def apply(x, out):
             nonlocal matvecs
             matvecs += 1
-            return hamiltonian @ x
+            return _matvec(hamiltonian, x, out)
 
         rows = max(1, min(LANCZOS_MAX_STEPS, LANCZOS_BASIS_BYTES // (8 * dim)))
         krylov = np.empty((rows, dim))
@@ -456,8 +549,8 @@ def ground_state(hamiltonian: sparse.spmatrix, *, seed: int = 7,
             v1 = rng.normal(size=dim)
             v1 /= np.linalg.norm(v1)
 
-            def apply_deflated(x):
-                return daxpy(psi, apply(x), a=width * ddot(psi, x))
+            def apply_deflated(x, out):
+                return daxpy(psi, apply(x, out), a=width * ddot(psi, x))
 
             e1 = _lanczos_lowest(apply_deflated, v1, GAP_RITZ_TOL, norm + width)[0]
         energies, vectors = np.array([e0, e1]), psi[:, None]
@@ -638,8 +731,9 @@ def bond_scan(chain: ChainSpec, u_values, v_values, pivot: int, *, seed: int = 7
     Requires an open chain at half filling with even length.  Returns one row
     per grid point with both bond values; the strong/weak assignment is by
     magnitude, which keeps the scan free of any bond-labeling convention.
-    The hopping part does not depend on ``(U, V)``, so it is built once per
-    scan and each grid point adds only its interaction diagonal.
+    The hopping arrays do not depend on ``(U, V)``, so they are assembled
+    once per scan and each grid point writes only its interaction diagonal
+    into a copy of them.
     """
     if chain.boundary != "open":
         raise ValueError("bond scans are defined for open chains")

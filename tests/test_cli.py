@@ -252,6 +252,41 @@ class TestScanCommands:
         assert lines[1] == "U,V,E_strong_nats,E_weak_nats,delta"
         assert len(lines) == 2 + 2
 
+    def test_bond_alternation_window_is_unchanged(self, capsys):
+        # recorded at commit 122f211; a change to the ED engine must keep
+        # these rows byte for byte
+        code, out, err = run(["ehm-scan", "--L", "8", "--U", "6", "--V", "2.5:3.5:11"], capsys)
+        assert code == 0 and err == ""
+        assert out.splitlines()[1:] == [
+            "U,V,E_strong_nats,E_weak_nats,delta",
+            "6,2.5,0.29495265511,0,0.29495265511",
+            "6,2.6,0.30077724807,0,0.30077724807",
+            "6,2.7,0.30592215773,0,0.30592215773",
+            "6,2.8,0.309976650012,0,0.309976650012",
+            "6,2.9,0.312557628734,0,0.312557628734",
+            "6,3,0.313389525053,0,0.313389525053",
+            "6,3.1,0.312367827686,0,0.312367827686",
+            "6,3.2,0.309577624918,0,0.309577624918",
+            "6,3.3,0.305260153347,0,0.305260153347",
+            "6,3.4,0.299746299252,0,0.299746299252",
+            "6,3.5,0.29338674262,0,0.29338674262",
+        ]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ehm-scan", "--L", "8", "--U", "6", "--V", "inf"], "v must be finite, got inf"),
+        (["ehm-scan", "--L", "8", "--U", "nan", "--V", "3"], "u must be finite, got nan"),
+        (["ehm-scan", "--L", "8", "--U", "6", "--V", "3", "--t-hop", "inf"],
+         "t_hop must be finite, got inf"),
+        (["ehm-scan", "--L", "8", "--U", "6", "--V", "inf:1:3"],
+         "grid endpoints must be finite, got 'inf:1:3'"),
+        (["dimer", "--U", "nan"], "u must be finite, got nan"),
+    ])
+    def test_non_finite_parameters_are_refused_by_name(self, argv, message, capsys):
+        # warnings are errors here, so a numpy RuntimeWarning on the way fails the test
+        code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert out == "" and err == f"error: {message}\n"
+
     def test_byte_identical_reruns(self, capsys):
         args = ["oracle-verify", "--n", "20", "--seed", "11"]
         _, first, _ = run(args, capsys)

@@ -47,6 +47,14 @@ class TestChainSpec:
         with pytest.raises(ValueError):
             lattice.ChainSpec(4, 2, 2, boundary="twisted")
 
+    @pytest.mark.parametrize("name", ["t_hop", "u", "v"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameters_are_refused_by_name(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value}$"):
+            lattice.ChainSpec(4, 2, 2, **{name: value})
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            replace(lattice.ChainSpec(4, 2, 2), **{name: value})
+
     def test_bonds(self):
         assert lattice.ChainSpec(4, 2, 2).bonds == ((0, 1), (1, 2), (2, 3))
         assert lattice.ChainSpec(4, 2, 2, boundary="periodic").bonds[-1] == (3, 0)
@@ -423,6 +431,42 @@ class TestLanczosSolver:
         assert gs.energy == pytest.approx(energies[0], abs=1e-12)
         assert gs.energy_gap == pytest.approx(energies[1] - energies[0], abs=1e-9)
         assert gs.residual < 1e-10 and not gs.degenerate
+
+
+class TestSparseKernel:
+    """The Lanczos runs call scipy's private ``csr_matvec`` kernel directly;
+    a scipy release that changes what ``@`` computes shows up here."""
+
+    @pytest.mark.parametrize("chain", [
+        lattice.ChainSpec(4, 2, 2, u=4.0, v=1.0, boundary="periodic"),
+        lattice.ChainSpec(6, 3, 2, t_hop=0.7, u=-2.0),
+        lattice.ChainSpec(8, 4, 4, u=6.0, v=3.0),
+        lattice.ChainSpec(8, 4, 4, t_hop=0.0, u=6.0),
+        lattice.ChainSpec(10, 5, 5, u=6.0, v=3.0),
+    ])
+    def test_products_match_scipy_bit_for_bit(self, chain):
+        h = lattice.build_hamiltonian(chain)
+        dim = h.shape[0]
+        x = np.random.default_rng(chain.length).normal(size=dim)
+        # the product zeroes what it writes into
+        out = np.full(dim, np.nan)
+        assert lattice._matvec(h, x, out) is out
+        assert np.array_equal(out, h @ x)
+        ones = np.ones(dim)
+        sums = lattice._matvec(h, ones, np.full(dim, np.nan), data=np.abs(h.data))
+        assert np.array_equal(sums, abs(h) @ ones)
+        diag = h.diagonal()
+        radius = abs(h) @ ones - np.abs(diag)
+        assert lattice._gershgorin_interval(h) == (float((diag - radius).min()),
+                                                   float((diag + radius).max()))
+
+    def test_other_sparse_formats_solve_as_csr(self):
+        h = lattice.build_hamiltonian(lattice.ChainSpec(6, 3, 3, u=4.0, v=1.0))
+        as_csr = lattice.ground_state(h, dense_cutoff=10)
+        as_csc = lattice.ground_state(h.tocsc(), dense_cutoff=10)
+        assert np.array_equal(as_csr.amplitudes, as_csc.amplitudes)
+        assert (as_csr.energy, as_csr.energy_gap, as_csr.matvecs) == (
+            as_csc.energy, as_csc.energy_gap, as_csc.matvecs)
 
 
 class TestTwoOrbitalRdm:

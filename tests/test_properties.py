@@ -4,7 +4,8 @@ superselection monotonicity, the twirl's non-increase of entanglement, the
 oracle's certify-or-refuse contract on arbitrary sectors, the simplex guard
 of the general sector solution and its refusal of a rounding-level closest
 weight, the state-file round trip and its rejection of malformed input, and
-the Lanczos ground state against dense diagonalization on small chains.
+the Lanczos ground state against dense diagonalization on small chains, and
+the sector Hamiltonian's assembly against its Kronecker-sum construction.
 Derandomized, so every run draws the same examples."""
 
 import contextlib
@@ -17,6 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -284,3 +286,69 @@ def test_lanczos_ground_state_matches_dense(chain):
     # between the two bounds the verdict may go either way at rounding level
     if dense_gap > 1e-6 or dense_gap < 1e-12:
         assert gs.degenerate == (dense_gap < lattice.DEGENERACY_TOL)
+
+
+def kronecker_hamiltonian(chain: lattice.ChainSpec) -> sparse.csr_matrix:
+    """The sector Hamiltonian as sparse sums: ``-t (K_up x 1 + 1 x K_dn) + diag``."""
+    basis = lattice.sector_basis(chain.length, chain.n_up, chain.n_dn)
+
+    def hopping(states):
+        n = len(states)
+        rows, cols, vals = [], [], []
+        for i, j in chain.bonds:
+            low, high = min(i, j), max(i, j)
+            between = ((1 << high) - 1) ^ ((1 << (low + 1)) - 1)
+            movable = np.nonzero(((states >> j) & 1 == 1) & ((states >> i) & 1 == 0))[0]
+            source = states[movable]
+            rows.append(np.searchsorted(states, source ^ ((1 << i) | (1 << j))))
+            cols.append(movable)
+            vals.append(1.0 - 2.0 * (np.bitwise_count(source & between) & 1))
+        hop = sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                                shape=(n, n))
+        return (hop + hop.T).tocsr()
+
+    k_up, k_dn = hopping(basis.up_states), hopping(basis.dn_states)
+    n_up, n_dn = k_up.shape[0], k_dn.shape[0]
+    kinetic = -chain.t_hop * (
+        sparse.kron(k_up, sparse.identity(n_dn, format="csr"), format="csr")
+        + sparse.kron(sparse.identity(n_up, format="csr"), k_dn, format="csr")
+    )
+    occ_up = lattice._occupancy(basis.up_states, chain.length).astype(np.float64)
+    occ_dn = lattice._occupancy(basis.dn_states, chain.length).astype(np.float64)
+    diag = np.zeros((n_up, n_dn))
+    if chain.u != 0.0:
+        diag += chain.u * (occ_up @ occ_dn.T)
+    if chain.v != 0.0:
+        shift = np.zeros((chain.length, chain.length))
+        for i, j in chain.bonds:
+            shift[i, j] += 1.0
+            shift[j, i] += 1.0
+        same_up = np.einsum("ak,kl,al->a", occ_up, shift, occ_up) / 2.0
+        same_dn = np.einsum("ak,kl,al->a", occ_dn, shift, occ_dn) / 2.0
+        cross = occ_up @ shift @ occ_dn.T
+        diag += chain.v * (same_up[:, None] + same_dn[None, :] + cross)
+    return (kinetic + sparse.diags(diag.ravel())).tocsr()
+
+
+@st.composite
+def any_chains(draw):
+    length = draw(st.integers(2, 8))
+    coupling = st.one_of(st.just(0.0), st.floats(-8.0, 8.0))
+    return lattice.ChainSpec(
+        length, draw(st.integers(0, length)), draw(st.integers(0, length)),
+        t_hop=draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0))),
+        u=draw(coupling), v=draw(coupling),
+        boundary=draw(st.sampled_from(["open", "periodic"])),
+    )
+
+
+@PROPERTY
+@given(chain=any_chains())
+def test_assembly_matches_the_kronecker_sum(chain):
+    h = lattice.build_hamiltonian(chain)
+    reference = kronecker_hamiltonian(chain)
+    assert h.shape == reference.shape
+    for name in ("indptr", "indices", "data"):
+        got, expected = getattr(h, name), getattr(reference, name)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
