@@ -111,6 +111,8 @@ def _parse_grid(text: str) -> np.ndarray:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ValueError(f"grid endpoints must be finite, got {text!r}")
+        if count < 1:
+            raise ValueError(f"grid count must be at least 1, got {text!r}")
         return np.linspace(start, stop, count)
     raise ValueError(f"grid must be 'value' or 'start:stop:count', got {text!r}")
 

@@ -10,6 +10,7 @@ permutation parities.
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -20,7 +21,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
 from scipy.linalg.blas import daxpy, ddot, dnrm2
 from scipy.linalg.lapack import dstebz, dstein
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from . import fock
 from .entanglement import EntanglementResult, orbital_entanglement
@@ -46,12 +47,17 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 MAX_SITES = 14
-#: Largest sector Hamiltonian, in stored CSR bytes, that a build may start;
-#: the build itself peaks at about twice this (measured at L = 12).
+#: Largest sector Hamiltonian, in stored CSR bytes, that a build may start
+#: (the build itself peaks at about twice this, measured at L = 12), and
+#: largest set of sector vectors a matrix-free solve may hold.
 MAX_HAMILTONIAN_BYTES = 512 * 2**20
 #: Bytes of Lanczos vectors a ground run keeps for its Ritz vector, in one
 #: block; the steps past it are rebuilt by the three-term recurrence.
 LANCZOS_BASIS_BYTES = 16 * 2**20
+#: Sector vectors a matrix-free Lanczos solve holds besides its Krylov block,
+#: at its peak (the Ritz sum): the start vector, the Ritz sum and its three
+#: rebuild vectors, and the operator's diagonal and two buffers.
+SOLVE_VECTORS = 8
 #: Stored entries a pass of the Hamiltonian assembly fills at most (about).
 ASSEMBLY_ENTRIES = 2**18
 DENSE_CUTOFF = 2000
@@ -273,6 +279,36 @@ def _kinetic(chain: ChainSpec, basis: SectorBasis) -> _Kinetic:
     return _Kinetic(indptr, indices, data, diagonal.ravel())
 
 
+def _interaction_diagonal(chain: ChainSpec, occ_up: np.ndarray, occ_dn: np.ndarray) -> np.ndarray:
+    """``U sum n_up n_dn + V sum_bonds n_i n_j`` on each basis state, as an (n_up, n_dn) array.
+
+    ``occ_up`` and ``occ_dn`` are the float occupations of :func:`_occupancy`.
+    A ``U`` or ``V`` that overflows an entry is refused by name, with no
+    numpy warning on the way.
+    """
+    diag = np.zeros((len(occ_up), len(occ_dn)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if chain.u != 0.0:
+            diag += chain.u * (occ_up @ occ_dn.T)
+        if chain.v != 0.0:
+            shift = np.zeros((chain.length, chain.length))
+            for i, j in chain.bonds:
+                shift[i, j] += 1.0
+                shift[j, i] += 1.0
+            same_up = np.einsum("ak,kl,al->a", occ_up, shift, occ_up) / 2.0
+            same_dn = np.einsum("ak,kl,al->a", occ_dn, shift, occ_dn) / 2.0
+            cross = occ_up @ shift @ occ_dn.T
+            diag += chain.v * (same_up[:, None] + same_dn[None, :] + cross)
+    if not np.isfinite(diag).all():
+        raise ValueError(f"U = {chain.u} and V = {chain.v} overflow the interaction diagonal")
+    return diag
+
+
+def _float_occupancy(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray]:
+    return tuple(_occupancy(states, basis.length).astype(np.float64)
+                 for states in (basis.up_states, basis.dn_states))
+
+
 def build_hamiltonian(chain: ChainSpec, basis: SectorBasis | None = None, *,
                       kinetic: _Kinetic | None = None) -> sparse.csr_matrix:
     """Sparse real-symmetric Hamiltonian on the sector basis.
@@ -281,30 +317,15 @@ def build_hamiltonian(chain: ChainSpec, basis: SectorBasis | None = None, *,
     interaction diagonal into their diagonal slots; the matrix shares their
     row pointers and column indices unless an entry is exactly zero, which,
     like a sparse sum, it does not store.  ``kinetic`` is built once for a
-    chain that differs from ``chain`` at most in ``u`` and ``v`` (as
-    :func:`bond_scan` does).
+    chain that differs from ``chain`` at most in ``u`` and ``v``.  The ED
+    commands solve through the matrix-free :class:`_SectorOperator`; this
+    matrix is the reference the tests check it against.
     """
     if basis is None:
         basis = sector_basis(chain.length, chain.n_up, chain.n_dn)
     if kinetic is None:
         kinetic = _kinetic(chain, basis)
-    bonds = chain.bonds
-    n_up, n_dn = len(basis.up_states), len(basis.dn_states)
-
-    occ_up = _occupancy(basis.up_states, chain.length).astype(np.float64)
-    occ_dn = _occupancy(basis.dn_states, chain.length).astype(np.float64)
-    diag = np.zeros((n_up, n_dn))
-    if chain.u != 0.0:
-        diag += chain.u * (occ_up @ occ_dn.T)
-    if chain.v != 0.0:
-        shift = np.zeros((chain.length, chain.length))
-        for i, j in bonds:
-            shift[i, j] += 1.0
-            shift[j, i] += 1.0
-        same_up = np.einsum("ak,kl,al->a", occ_up, shift, occ_up) / 2.0
-        same_dn = np.einsum("ak,kl,al->a", occ_dn, shift, occ_dn) / 2.0
-        cross = occ_up @ shift @ occ_dn.T
-        diag += chain.v * (same_up[:, None] + same_dn[None, :] + cross)
+    diag = _interaction_diagonal(chain, *_float_occupancy(basis))
     data = kinetic.data.copy()
     data[kinetic.diagonal] = diag.ravel()
     indices, indptr = kinetic.indices, kinetic.indptr
@@ -313,6 +334,121 @@ def build_hamiltonian(chain: ChainSpec, basis: SectorBasis | None = None, *,
         data, indices = data[stored], indices[stored]
         indptr = np.concatenate(([0], np.cumsum(stored)))[indptr].astype(np.int32)
     return sparse.csr_matrix((data, indices, indptr), shape=(basis.dim, basis.dim))
+
+
+def _krylov_rows(dim: int) -> int:
+    """Rows of the Lanczos block a ground run keeps: ``LANCZOS_BASIS_BYTES`` of them, at least one."""
+    return max(1, min(LANCZOS_MAX_STEPS, LANCZOS_BASIS_BYTES // (8 * dim)))
+
+
+class _SectorOperator:
+    """The sector Hamiltonian as ``H X = -t (K_up X + X K_dn^T) + D o X``, with no matrix.
+
+    ``X`` is the ``(n_up, n_dn)`` amplitude array of a sector vector (the
+    basis's combined index, row-major), ``K_up`` and ``K_dn`` the species
+    hoppings of :func:`_species_hopping` and ``D`` the interaction diagonal of
+    :func:`build_hamiltonian` (Weiße & Fehske, Lect. Notes Phys. 739 (2008),
+    §2-3).  The hoppings depend on the chain's geometry and ``t_hop`` only, so
+    :meth:`at` reuses them, and the buffers, for another ``(U, V)``.  Like a
+    matrix it has ``shape``, ``dtype``, ``@`` and ``toarray``, which is
+    ``build_hamiltonian(...).toarray()`` bit for bit.  Refuses, before any
+    sector-sized allocation, a sector whose Lanczos solve would hold more
+    than :data:`MAX_HAMILTONIAN_BYTES` of vectors.
+    """
+
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, chain: ChainSpec, basis: SectorBasis | None = None):
+        if basis is None:
+            basis = sector_basis(chain.length, chain.n_up, chain.n_dn)
+        k_up = _species_hopping(basis.up_states, chain.length, chain.bonds)
+        k_dn = k_up if chain.n_up == chain.n_dn else _species_hopping(basis.dn_states,
+                                                                      chain.length, chain.bonds)
+        n_up, n_dn = k_up.shape[0], k_dn.shape[0]
+        dim = n_up * n_dn
+        vectors = _krylov_rows(dim) + SOLVE_VECTORS
+        if 8 * dim * vectors > MAX_HAMILTONIAN_BYTES:
+            nnz = _hamiltonian_size(k_up, k_dn)[0]
+            raise OrbentError(
+                f"sector of {dim} states ({nnz} nonzeros) needs {vectors} vectors in "
+                f"{8 * dim * vectors / 2**20:.0f} MiB to solve, "
+                f"above the {MAX_HAMILTONIAN_BYTES / 2**20:.0f} MiB limit"
+            )
+        self.shape = (dim, dim)
+        self._n = n_up, n_dn
+        self._t_hop = chain.t_hop
+        self._up, self._dn = ((k.indptr, k.indices, -chain.t_hop * k.data) for k in (k_up, k_dn))
+        self._degrees = np.diff(k_up.indptr), np.diff(k_dn.indptr)
+        self._occupancy = _float_occupancy(basis)
+        # the transposed input and the transposed diagonal and down hoppings' term
+        self._xt, self._yt = np.empty((n_dn, n_up)), np.empty((n_dn, n_up))
+        self._set_point(chain)
+
+    def _set_point(self, chain: ChainSpec) -> None:
+        """The diagonal and Gershgorin interval of ``chain``'s ``U`` and ``V``.
+
+        The interval is ``D -+ |t_hop| (deg_up + deg_dn)`` over the states.
+        Its ends, and the sum of its norm and width that bounds the gap run's
+        deflated operator, must be finite; they are refused by name otherwise.
+        """
+        diag = _interaction_diagonal(chain, *self._occupancy)
+        deg_up, deg_dn = self._degrees
+        with np.errstate(over="ignore", invalid="ignore"):
+            radius = abs(self._t_hop) * (deg_up[:, None] + deg_dn[None, :])
+            low, high = float((diag - radius).min()), float((diag + radius).max())
+        if not math.isfinite(max(-low, high) + (high - low)):
+            raise ValueError(f"t_hop = {chain.t_hop}, U = {chain.u} and V = {chain.v} "
+                             "overflow the Hamiltonian's Gershgorin bounds")
+        self._diag_t = np.ascontiguousarray(diag.T)
+        self.interval = low, high
+
+    def at(self, chain: ChainSpec) -> _SectorOperator:
+        """The operator of ``chain``, which differs from this one's at most in ``u`` and ``v``.
+
+        It shares the hoppings and the buffers, so use one operator at a time.
+        """
+        point = copy.copy(self)
+        point._set_point(chain)
+        return point
+
+    def apply(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``H x`` into ``out``, with one kernel call per species.
+
+        On the transposed copy ``X^T``, the first call adds ``K_dn X^T`` to
+        ``D^T o X^T`` in a buffer, which is copied back transposed into
+        ``out``; the second call adds ``K_up X`` there.  Working in the
+        transposed frame first spares zeroing a buffer and a strided sum.
+        ``x`` and ``out`` are distinct contiguous float64 sector vectors.
+        """
+        n_up, n_dn = self._n
+        xt, yt = self._xt, self._yt
+        np.copyto(xt, x.reshape(n_up, n_dn).T)
+        np.multiply(self._diag_t, xt, out=yt)
+        csr_matvecs(n_dn, n_dn, n_up, *self._dn, xt, yt)
+        np.copyto(out.reshape(n_up, n_dn), yt.T)
+        csr_matvecs(n_up, n_up, n_dn, *self._up, x, out)
+        return out
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.apply(np.ascontiguousarray(x, dtype=np.float64).reshape(-1),
+                          np.empty(self.shape[0]))
+
+    def toarray(self) -> np.ndarray:
+        n_up, n_dn = self._n
+        dense = np.zeros((n_up, n_dn, n_up, n_dn))
+        # the CSR matrix stores no zero hopping (t_hop = 0), and toarray gives +0.0 there
+        if self._t_hop != 0.0:
+            a, b = np.arange(n_up), np.arange(n_dn)
+            deg_up, deg_dn = self._degrees
+            _, indices, data = self._up
+            rows = np.repeat(a, deg_up)
+            dense[rows[:, None], b, indices[:, None], b] = data[:, None]
+            _, indices, data = self._dn
+            rows = np.repeat(b, deg_dn)
+            dense[a[:, None], rows, a[:, None], indices] = data
+        dense = dense.reshape(self.shape)
+        dense[np.diag_indices(self.shape[0])] = self._diag_t.T.ravel()
+        return dense
 
 
 @dataclass(frozen=True)
@@ -494,7 +630,7 @@ def _gershgorin_interval(hamiltonian: sparse.csr_matrix) -> tuple[float, float]:
     return float((diag - radius).min()), float((diag + radius).max())
 
 
-def ground_state(hamiltonian: sparse.spmatrix, *, seed: int = 7,
+def ground_state(hamiltonian: sparse.spmatrix | _SectorOperator, *, seed: int = 7,
                  degeneracy_tol: float = DEGENERACY_TOL,
                  dense_cutoff: int = DENSE_CUTOFF) -> GroundState:
     """Lowest eigenpair, dense below ``dense_cutoff``, else Lanczos with fixed seed.
@@ -515,12 +651,19 @@ def ground_state(hamiltonian: sparse.spmatrix, *, seed: int = 7,
     from the first start vector, so that ``multiplet`` holds the whole
     multiplet; a single Lanczos vector cannot.  A sector of at most seven
     states, where those ``dim - 1`` pairs could miss a multiplet that fills
-    it, is solved densely instead.  The Lanczos runs take a real symmetric
-    matrix; every product they make is one ``csr_matvec`` kernel call into a
-    vector the run owns (:func:`_matvec`), with the bits of ``hamiltonian @
-    x``.  A matrix in another sparse format is converted to CSR first.
+    it, is solved densely instead.
+
+    ``hamiltonian`` is a real symmetric sparse matrix or a
+    :class:`_SectorOperator`; the dense path diagonalizes the same dense
+    matrix for both.  On a matrix every product the runs make is one
+    ``csr_matvec`` kernel call into a vector the run owns (:func:`_matvec`),
+    with the bits of ``hamiltonian @ x``, and a matrix in another sparse
+    format is converted to CSR first.  On an operator every product is its
+    :meth:`_SectorOperator.apply`, and its Gershgorin interval replaces the
+    matrix's row sums.
     """
-    if hamiltonian.format != "csr":
+    matrix_free = isinstance(hamiltonian, _SectorOperator)
+    if not matrix_free and hamiltonian.format != "csr":
         hamiltonian = hamiltonian.tocsr()
     dim = hamiltonian.shape[0]
     matvecs = 0
@@ -530,16 +673,21 @@ def ground_state(hamiltonian: sparse.spmatrix, *, seed: int = 7,
         rng = np.random.default_rng(seed)
         v0 = rng.normal(size=dim)
         v0 /= np.linalg.norm(v0)
-        low, high = _gershgorin_interval(hamiltonian)
+        if matrix_free:
+            product, (low, high) = hamiltonian.apply, hamiltonian.interval
+        else:
+            def product(x, out):
+                return _matvec(hamiltonian, x, out)
+
+            low, high = _gershgorin_interval(hamiltonian)
         norm, width = max(-low, high), high - low
 
         def apply(x, out):
             nonlocal matvecs
             matvecs += 1
-            return _matvec(hamiltonian, x, out)
+            return product(x, out)
 
-        rows = max(1, min(LANCZOS_MAX_STEPS, LANCZOS_BASIS_BYTES // (8 * dim)))
-        krylov = np.empty((rows, dim))
+        krylov = np.empty((_krylov_rows(dim), dim))
         e0, s, alphas, betas = _lanczos_lowest(apply, v0, GROUND_RITZ_TOL, norm, krylov)
         psi = _ritz_vector(apply, krylov, s, alphas, betas)
         del krylov  # freed before the gap run, which keeps no basis
@@ -721,7 +869,7 @@ def ground_state_rdm(chain: ChainSpec, i: int, j: int, *, seed: int = 7,
                      on_degenerate: str = "raise") -> TwoOrbitalState:
     """Convenience: chain to ground-state pair reduced density matrix."""
     basis = sector_basis(chain.length, chain.n_up, chain.n_dn)
-    gs = ground_state(build_hamiltonian(chain, basis), seed=seed)
+    gs = ground_state(_SectorOperator(chain, basis), seed=seed)
     return two_orbital_rdm(gs, basis, i, j, on_degenerate=on_degenerate)
 
 
@@ -731,9 +879,9 @@ def bond_scan(chain: ChainSpec, u_values, v_values, pivot: int, *, seed: int = 7
     Requires an open chain at half filling with even length.  Returns one row
     per grid point with both bond values; the strong/weak assignment is by
     magnitude, which keeps the scan free of any bond-labeling convention.
-    The hopping arrays do not depend on ``(U, V)``, so they are assembled
-    once per scan and each grid point writes only its interaction diagonal
-    into a copy of them.
+    The species hoppings do not depend on ``(U, V)``, so one
+    :class:`_SectorOperator` is built per scan and each grid point computes
+    only its interaction diagonal.
     """
     if chain.boundary != "open":
         raise ValueError("bond scans are defined for open chains")
@@ -742,12 +890,12 @@ def bond_scan(chain: ChainSpec, u_values, v_values, pivot: int, *, seed: int = 7
     if not 1 <= pivot <= chain.length - 2:
         raise ValueError("pivot must have a bond on each side")
     basis = sector_basis(chain.length, chain.n_up, chain.n_dn)
-    kinetic = _kinetic(chain, basis)
+    operator = _SectorOperator(chain, basis)
     rows = []
     for u in np.atleast_1d(u_values):
         for v in np.atleast_1d(v_values):
             point = replace(chain, u=float(u), v=float(v))
-            gs = ground_state(build_hamiltonian(point, basis, kinetic=kinetic), seed=seed)
+            gs = ground_state(operator.at(point), seed=seed)
             left = two_orbital_rdm(gs, basis, pivot - 1, pivot)
             right = two_orbital_rdm(gs, basis, pivot, pivot + 1)
             e_left = orbital_entanglement(left, "number").value
@@ -771,7 +919,7 @@ def dimer_analytics(u: float, v: float = 0.0, t_hop: float = 1.0, rule: str = "n
     """
     chain = ChainSpec(2, 1, 1, t_hop=t_hop, u=u, v=v)
     basis = sector_basis(2, 1, 1)
-    gs = ground_state(build_hamiltonian(chain, basis))
+    gs = ground_state(_SectorOperator(chain, basis))
     rdm = two_orbital_rdm(gs, basis, 0, 1)
     result: EntanglementResult = orbital_entanglement(rdm, rule)
     analytic = 0.5 * (u + v) - math.sqrt(0.25 * (u - v) ** 2 + 4.0 * t_hop**2)

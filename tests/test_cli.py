@@ -280,12 +280,31 @@ class TestScanCommands:
         (["ehm-scan", "--L", "8", "--U", "6", "--V", "inf:1:3"],
          "grid endpoints must be finite, got 'inf:1:3'"),
         (["dimer", "--U", "nan"], "u must be finite, got nan"),
+        # finite, but overflowing the Hamiltonian's diagonal or its spectral bounds
+        (["ehm-scan", "--L", "8", "--U", "1e308", "--V", "3"],
+         "U = 1e+308 and V = 3.0 overflow the interaction diagonal"),
+        (["dimer", "--U", "1e308"],
+         "t_hop = 1.0, U = 1e+308 and V = 0.0 overflow the Hamiltonian's Gershgorin bounds"),
     ])
     def test_non_finite_parameters_are_refused_by_name(self, argv, message, capsys):
         # warnings are errors here, so a numpy RuntimeWarning on the way fails the test
         code, out, err = run(argv, capsys)
         assert code == cli.EXIT_USAGE
         assert out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["ehm-scan", "--L", "4", "--U", "4", "--V", "1:2:{}"],
+        ["ehm-scan", "--L", "4", "--U", "0:4:{}", "--V", "1"],
+        ["free-fermion-scan", "--eta-grid", "0.1:0.9:{}", "--l-max", "3"],
+        ["lmin", "--eta-grid", "0.1:0.9:{}"],
+    ])
+    def test_grid_counts_below_one_are_refused(self, argv, count, capsys):
+        argv = [arg.format(count) for arg in argv]
+        (grid,) = [arg for arg in argv if arg.endswith(f":{count}")]
+        code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert out == "" and err == f"error: grid count must be at least 1, got {grid!r}\n"
 
     def test_byte_identical_reruns(self, capsys):
         args = ["oracle-verify", "--n", "20", "--seed", "11"]

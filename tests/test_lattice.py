@@ -1,6 +1,7 @@
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -469,6 +470,115 @@ class TestSparseKernel:
             as_csc.energy, as_csc.energy_gap, as_csc.matvecs)
 
 
+class TestSectorOperator:
+    """The matrix-free operator the ED commands solve through, against the CSR matrix."""
+
+    @pytest.mark.parametrize("chain, dense_cutoff", [
+        (lattice.ChainSpec(8, 4, 4, u=6.0, v=3.0), lattice.DENSE_CUTOFF),
+        (lattice.ChainSpec(8, 4, 4, t_hop=-0.5, u=2.0, v=3.0), lattice.DENSE_CUTOFF),
+        (lattice.ChainSpec(7, 4, 2, t_hop=0.7, u=4.0, v=-1.0, boundary="periodic"), 10),
+        (lattice.ChainSpec(6, 3, 3, u=4.0, v=1.0), 10),
+        (lattice.ChainSpec(6, 3, 3, u=4.0, v=1.0), lattice.DENSE_CUTOFF),
+        (lattice.ChainSpec(10, 5, 5, u=6.0, v=3.0), lattice.DENSE_CUTOFF),
+    ])
+    def test_solves_match_csr_solves(self, chain, dense_cutoff):
+        basis = lattice.sector_basis(chain.length, chain.n_up, chain.n_dn)
+        h = lattice.build_hamiltonian(chain, basis)
+        reference = lattice.ground_state(h, dense_cutoff=dense_cutoff)
+        gs = lattice.ground_state(lattice._SectorOperator(chain, basis), dense_cutoff=dense_cutoff)
+        assert gs.energy == pytest.approx(reference.energy, abs=1e-11)
+        assert gs.energy_gap == pytest.approx(reference.energy_gap, abs=1e-9)
+        assert gs.degenerate == reference.degenerate
+        assert gs.residual < 1e-12
+        assert np.linalg.norm(h @ gs.amplitudes - gs.energy * gs.amplitudes) < 1e-12
+        if basis.dim <= dense_cutoff:
+            # the same dense matrix: the same bits
+            assert np.array_equal(gs.amplitudes, reference.amplitudes)
+        # a degenerate multiplet's vectors differ between the solves, its average does not
+        for i in range(chain.length - 1):
+            rdm, expected = (lattice.two_orbital_rdm(state, basis, i, i + 1,
+                                                     on_degenerate="mixture").matrix
+                             for state in (gs, reference))
+            assert np.abs(rdm - expected).max() < 1e-10
+
+    @pytest.mark.parametrize("length, filling", [(4, 2), (6, 2), (8, 4)])
+    def test_rings_fall_back_to_arpack_whole(self, length, filling, monkeypatch):
+        chain = lattice.ChainSpec(length, filling, filling, boundary="periodic")
+        arpack = []
+        solve = lattice._lowest_eigenpairs
+
+        def recorded(*args):
+            arpack.append(args[1])
+            return solve(*args)
+
+        monkeypatch.setattr(lattice, "_lowest_eigenpairs", recorded)
+        gs = lattice.ground_state(lattice._SectorOperator(chain), dense_cutoff=10)
+        assert arpack == [6]
+        ring = np.sort(-2.0 * np.cos(2.0 * np.pi * np.arange(length) / length))
+        assert gs.energy == pytest.approx(2.0 * ring[:filling].sum(), abs=1e-10)
+        assert gs.degenerate and len(gs.multiplet) == 4
+        overlaps = np.array([[v @ w for w in gs.multiplet] for v in gs.multiplet])
+        assert np.abs(overlaps - np.eye(4)).max() < 1e-10
+        h = lattice.build_hamiltonian(chain)
+        for v in gs.multiplet:
+            assert np.linalg.norm(h @ v - gs.energy * v) < lattice.RESIDUAL_TOL
+
+    def test_matvecs_count_operator_products(self, monkeypatch):
+        operator = lattice._SectorOperator(lattice.ChainSpec(8, 4, 4, u=6.0, v=3.0))
+        products = []
+        apply = operator.apply
+
+        def counted(x, out):
+            products.append(1)
+            return apply(x, out)
+
+        monkeypatch.setattr(operator, "apply", counted)
+        gs = lattice.ground_state(operator)
+        # every product but the residual check's
+        assert gs.matvecs == len(products) - 1 > 0
+
+    def test_a_new_point_keeps_the_hoppings_and_moves_the_diagonal(self):
+        chain = lattice.ChainSpec(6, 3, 2, t_hop=0.7, u=1.0, v=0.5, boundary="periodic")
+        point = replace(chain, u=-3.0, v=2.0)
+        reused = lattice._SectorOperator(chain).at(point)
+        fresh = lattice._SectorOperator(point)
+        assert reused.interval == fresh.interval
+        assert reused.toarray().tobytes() == fresh.toarray().tobytes()
+        x = np.random.default_rng(5).normal(size=reused.shape[0])
+        assert np.array_equal(reused @ x, fresh @ x)
+
+    def test_preflight_counts_the_solve_vectors(self):
+        # L = 12 holds its two kept Lanczos rows and eight other sector
+        # vectors; L = 14 keeps one row, and its nine vectors pass the budget
+        admitted = lattice._SectorOperator(lattice.ChainSpec(12, 6, 6, u=6.0, v=3.0))
+        dim = admitted.shape[0]
+        assert lattice._krylov_rows(dim) == 2
+        assert 8 * dim * (2 + lattice.SOLVE_VECTORS) <= lattice.MAX_HAMILTONIAN_BYTES
+        with pytest.raises(OrbentError, match=r"^sector of 11778624 states \(176679360 nonzeros\) "
+                                              r"needs 9 vectors in 809 MiB to solve, "
+                                              r"above the 512 MiB limit$"):
+            lattice._SectorOperator(lattice.ChainSpec(14, 7, 7))
+
+    @pytest.mark.parametrize("fields, message", [
+        # two doublons: 2 U overflows
+        ({"u": 1e308}, "U = 1e+308 and V = 0.0 overflow the interaction diagonal"),
+        ({"u": 1e308, "v": -1e308}, "U = 1e+308 and V = -1e+308 overflow the interaction diagonal"),
+        ({"t_hop": 1e308}, "t_hop = 1e+308, U = 0.0 and V = 0.0 overflow the Hamiltonian's "
+                           "Gershgorin bounds"),
+        # a finite diagonal up to 1e308, whose spectral width and norm bound overflow together
+        ({"u": 5e307}, "t_hop = 1.0, U = 5e+307 and V = 0.0 overflow the Hamiltonian's "
+                       "Gershgorin bounds"),
+    ])
+    def test_overflowing_parameters_are_refused_by_name(self, fields, message):
+        # warnings are errors here, so a numpy RuntimeWarning on the way fails the test
+        chain = lattice.ChainSpec(4, 2, 2, **fields)
+        pattern = f"^{re.escape(message)}$"
+        with pytest.raises(ValueError, match=pattern):
+            lattice._SectorOperator(chain)
+        with pytest.raises(ValueError, match=pattern):
+            lattice._SectorOperator(lattice.ChainSpec(4, 2, 2, t_hop=chain.t_hop)).at(chain)
+
+
 class TestTwoOrbitalRdm:
     def test_dimer_weights_and_entanglement(self):
         result = lattice.dimer_analytics(0.0)
@@ -612,8 +722,8 @@ class TestBondScan:
             assert row["delta"] == pytest.approx(row["e_strong"] - row["e_weak"])
 
     def test_rows_match_point_by_point_solves(self):
-        # the scan reuses one hopping build; each point solved on its own
-        # from a full build must give the same rows, bit for bit
+        # the scan reuses one operator build; each point solved on its own
+        # through a fresh operator must give the same rows, bit for bit
         chain = lattice.ChainSpec(8, 4, 4)
         u_values, v_values = [4.0, 6.0], [2.5, 3.0]
         rows = lattice.bond_scan(chain, u_values, v_values, 4, seed=3)
@@ -622,7 +732,7 @@ class TestBondScan:
         for u in u_values:
             for v in v_values:
                 point = lattice.ChainSpec(8, 4, 4, u=u, v=v)
-                gs = lattice.ground_state(lattice.build_hamiltonian(point, basis), seed=3)
+                gs = lattice.ground_state(lattice._SectorOperator(point, basis), seed=3)
                 left, right = (
                     ent.orbital_entanglement(lattice.two_orbital_rdm(gs, basis, i, j),
                                              "number").value

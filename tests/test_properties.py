@@ -4,8 +4,9 @@ superselection monotonicity, the twirl's non-increase of entanglement, the
 oracle's certify-or-refuse contract on arbitrary sectors, the simplex guard
 of the general sector solution and its refusal of a rounding-level closest
 weight, the state-file round trip and its rejection of malformed input, and
-the Lanczos ground state against dense diagonalization on small chains, and
-the sector Hamiltonian's assembly against its Kronecker-sum construction.
+the Lanczos ground state against dense diagonalization on small chains, the
+sector Hamiltonian's assembly against its Kronecker-sum construction, and the
+matrix-free sector operator against that matrix.
 Derandomized, so every run draws the same examples."""
 
 import contextlib
@@ -352,3 +353,25 @@ def test_assembly_matches_the_kronecker_sum(chain):
         got, expected = getattr(h, name), getattr(reference, name)
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
+
+
+@PROPERTY
+@given(chain=any_chains(), seed=st.integers(0, 2**32 - 1))
+def test_sector_operator_matches_the_csr_hamiltonian(chain, seed):
+    h = lattice.build_hamiltonian(chain)
+    operator = lattice._SectorOperator(chain)
+    assert operator.shape == h.shape
+    low, high = operator.interval
+    norm = max(-low, high)
+    # |x_j| <= 1, so each product entry sums terms whose moduli add up to at
+    # most the Gershgorin norm, over at most 2 L + 1 terms in another order
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=h.shape[0])
+    out = np.full(h.shape[0], np.nan)
+    assert operator.apply(x, out) is out
+    assert np.abs(out - h @ x).max() <= 1e-14 * norm
+    assert np.array_equal(operator @ x, out)
+    csr_low, csr_high = lattice._gershgorin_interval(h)
+    assert abs(low - csr_low) <= 1e-14 * norm and abs(high - csr_high) <= 1e-14 * norm
+    if h.shape[0] <= 1000:
+        # the dense path diagonalizes the CSR matrix's dense form, zero signs included
+        assert operator.toarray().tobytes() == h.toarray().tobytes()
