@@ -357,6 +357,27 @@ def _plan(p: np.ndarray, formula: FormulaVariant, tol: float) -> tuple[FormulaVa
                          bool(abs(p[VACUUM] - p[FULL]) <= tol)]
 
 
+def _settled(q: np.ndarray, formula: FormulaVariant, tol: float) -> np.ndarray:
+    """Rows of ``q``, C-ordered clipped weights, that the front end of
+    ``formula`` solves to the value 0.0 with ``q`` as their own closest
+    weights: every sector solution that :func:`_plan` picks passes its own
+    separability test, and the row passes :func:`_check_closest`.
+    """
+    settled = abs(q.sum(axis=1) - 1.0) <= 1e-10  # the bits of _check_closest's q.sum()
+    for sector in ("spin", "pair") if formula.ssr == "parity" else ("spin",):
+        x, y, u, v = (q[:, i] for i in _SECTORS[sector])
+        balanced = abs(u - v) <= tol  # _plan's balance test
+        linear = np.minimum(x, y) + u + v >= np.maximum(x, y)  # _linear_sector_solution's
+        general = u * v >= ((x - y) / 2.0) ** 2  # _sector_separable's
+        if formula is FormulaVariant.NSSR_SINGLET:
+            settled &= balanced & linear  # an unbalanced row is left to raise in _plan
+        elif formula is FormulaVariant.NSSR_GENERAL:
+            settled &= general
+        else:
+            settled &= np.where(balanced, linear, general)
+    return settled
+
+
 def _solve(p: np.ndarray, q: np.ndarray, solvers: dict) -> tuple[float, dict]:
     """Solve each constrained sector of one spectrum with its closed solution.
 
@@ -465,8 +486,9 @@ def _closed_form_rows(p: np.ndarray, variant: FormulaVariant) -> tuple[np.ndarra
     """:func:`closed_form_batch` without its error ordering."""
     p = _checked_weights(p)
     q = p.copy()
-    values = np.empty(len(p))
-    for k, (row, q_row) in enumerate(zip(p, q)):
+    values = np.zeros(len(p))
+    for k in np.flatnonzero(~_settled(q, variant, ssr.DETECTION_TOL)).tolist():
+        row, q_row = p[k], q[k]
         values[k], _ = _solve(row, q_row, _plan(row, variant, ssr.DETECTION_TOL)[1])
         _check_closest(values[k], q_row)
     return values, q
@@ -482,9 +504,13 @@ def closed_form_batch(weights: np.ndarray,
     ``entanglement_from_spectrum(SectorSpectrum(weights[k], variant=variant.ssr),
     variant)``, and a failing row raises that call's error (the first
     failing row, when several fail).  The weight checks run over all rows at
-    once; the balance tests, sector solutions and result checks row by row.
+    once, and so does a pass that settles every row whose planned sector
+    solutions are all separable: its value is 0.0 and its closest weights
+    are its own.  The other rows get their balance tests, sector solutions
+    and result checks row by row.
     """
-    p = np.asarray(weights, dtype=float)
+    # row sums have the scalar path's bits on C-ordered rows only
+    p = np.ascontiguousarray(weights, dtype=float)
     if p.ndim != 2 or p.shape[1] != fock.DIM:
         raise ValueError("expected one row of 16 sector weights per spectrum")
     try:

@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
-import scipy.sparse.linalg as sparse_linalg
 from scipy.linalg.blas import daxpy, ddot, dnrm2
 from scipy.linalg.lapack import dstebz, dstein
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
@@ -63,6 +62,11 @@ ASSEMBLY_ENTRIES = 2**18
 DENSE_CUTOFF = 2000
 DEGENERACY_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
+#: A converged solve's residual is rounding times the operator's norm (about
+#: 1e-15 of its Gershgorin bound, measured); where ``RESIDUAL_TOL`` is below
+#: this fraction of the bound, a residual above it is refused as out of reach
+#: of these couplings, not as a solver failure.
+RESIDUAL_ROUNDING = 1e-12
 #: Lanczos stops at these lowest Ritz residuals: the ground run, the gap run.
 GROUND_RITZ_TOL = 1e-13
 GAP_RITZ_TOL = 1e-8
@@ -492,6 +496,9 @@ class GroundState:
 
 def _lowest_eigenpairs(hamiltonian: sparse.spmatrix, k: int, v0: np.ndarray):
     """The ``k`` lowest eigenpairs by ARPACK, in ascending order, and its matvec count."""
+    # only a degenerate ground state gets here: the other solves skip the import
+    import scipy.sparse.linalg as sparse_linalg
+
     matvecs = 0
 
     def apply(x):
@@ -713,6 +720,14 @@ def ground_state(hamiltonian: sparse.spmatrix | _SectorOperator, *, seed: int = 
     e0 = float(energies[0])
     psi = vectors[:, 0] / np.linalg.norm(vectors[:, 0])
     residual = float(np.linalg.norm(hamiltonian @ psi - e0 * psi))
+    if residual > RESIDUAL_TOL:
+        low, high = hamiltonian.interval if matrix_free else _gershgorin_interval(hamiltonian)
+        norm = max(-low, high)
+        if RESIDUAL_TOL < RESIDUAL_ROUNDING * norm:
+            raise ValueError(
+                f"eigensolver residual {residual:.3e} too large: these couplings put the "
+                f"{RESIDUAL_TOL:g} residual certificate out of reach, below rounding at the "
+                f"Hamiltonian's Gershgorin norm bound {norm:.3e}")
     in_multiplet = np.nonzero(energies - e0 < degeneracy_tol)[0]
     gap = float(energies[1] - e0) if len(energies) > 1 else math.inf
     return GroundState(

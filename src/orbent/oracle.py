@@ -8,8 +8,9 @@ point or the constraint multiplier, whichever is smaller, so that weights of
 1e-35 beside 1e-2 keep their relative precision; a sector without product
 weights is an explicit corner.  One spectrum is solved and certified on plain
 Python floats by :func:`kl_min_oracle`; :func:`kl_min_oracle_batch` checks
-a whole batch of targets in one numpy pass and then hands every row to
-:func:`kl_min_oracle`.  The Wick builder computes every density-matrix element as a sum over
+a whole batch of targets in one numpy pass, settles in a second the rows
+whose constrained sectors are all separable (their value is 0.0), and hands
+every other row to :func:`kl_min_oracle`.  The Wick builder computes every density-matrix element as a sum over
 contraction pairings, independent of the constructive Gaussian route.
 """
 
@@ -337,17 +338,27 @@ def kl_min_oracle_batch(targets, rule: str = "number") -> np.ndarray:
     """The certified minimum of every row of ``targets``, shape ``(n, 16)``.
 
     The rows are checked as :class:`ConstrainedSimplexProblem` checks one
-    target, all before any is solved; each row is then solved by
-    :func:`kl_min_oracle`, so it has the single problem's bits, and the first
-    row whose certificate fails raises that row's error.
+    target, all before any is solved.  One pass over the chunk then settles
+    the rows that are their own minimizer: every constrained sector passes
+    :func:`_solve_constrained_sector`'s separability test and the weights
+    pass the feasibility certificate, so :func:`kl_min_oracle` would return
+    0.0 with no violation.  Every other row is solved by
+    :func:`kl_min_oracle`, in row order, so it has the single problem's bits,
+    and the first row whose certificate fails raises that row's error.
     """
-    p = np.asarray(targets, dtype=float)
+    # row sums have the scalar path's bits on C-ordered rows only
+    p = np.ascontiguousarray(targets, dtype=float)
     if p.ndim != 2 or p.shape[1] != fock.DIM:
         raise ValueError("expected rows of 16 target weights")
     clipped = _clipped_targets(p, rule)
     clipped.setflags(write=False)
-    return np.array([kl_min_oracle(ConstrainedSimplexProblem._checked(row, rule)).value
-                     for row in clipped], dtype=float)
+    settled = abs(clipped.sum(axis=1) - 1.0) <= FEASIBILITY_TOL  # the bits of _sum16
+    for x, y, c, d in _SECTORS[rule]:
+        settled &= clipped[:, c] * clipped[:, d] >= ((clipped[:, x] - clipped[:, y]) / 2.0) ** 2
+    values = np.zeros(len(clipped))
+    for k in np.flatnonzero(~settled).tolist():
+        values[k] = kl_min_oracle(ConstrainedSimplexProblem._checked(clipped[k], rule)).value
+    return values
 
 
 def ppt_oracle(state: TwoOrbitalState) -> tuple[bool, float]:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -170,7 +171,8 @@ class TestOracleVerifyCommand:
         assert code == cli.EXIT_FAILURE
 
     def test_a_wrong_oracle_value_fails_the_check(self, monkeypatch, capsys):
-        # a fault injected into kl_min_oracle reaches every batched spectrum
+        # a fault injected into kl_min_oracle reaches every entangled spectrum;
+        # each variant draws one among its five
         real = oracle.kl_min_oracle
         monkeypatch.setattr(oracle, "kl_min_oracle", lambda problem: dataclasses.replace(
             real(problem), value=real(problem).value + 1e-3))
@@ -178,7 +180,7 @@ class TestOracleVerifyCommand:
         assert code == cli.EXIT_FAILURE
         payload = json.loads(out)
         for variant in ("singlet", "general", "parity"):
-            assert payload[variant]["mean_abs_delta_nats"] > 9e-4
+            assert payload[variant]["max_abs_delta_nats"] > 9e-4
 
     def test_file_mode_with_degenerate_sector(self, tmp_path, capsys):
         weights = np.zeros(16)
@@ -292,6 +294,19 @@ class TestScanCommands:
         assert code == cli.EXIT_USAGE
         assert out == "" and err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, norm", [
+        (["ehm-scan", "--L", "8", "--U", "1e9", "--V", "0"], "4.000e+09"),
+        (["dimer", "--U", "1e307"], "1.000e+307"),
+    ])
+    def test_couplings_beyond_the_residual_certificate_are_refused(self, argv, norm, capsys):
+        # a converged solve's residual is rounding times the norm: above 1e-8
+        # here, which the refusal blames on the couplings, with exit 2
+        code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert re.fullmatch(r"error: eigensolver residual \S+ too large: these couplings put the "
+                            r"1e-08 residual certificate out of reach, below rounding at the "
+                            rf"Hamiltonian's Gershgorin norm bound {re.escape(norm)}\n", err)
+
     @pytest.mark.parametrize("count", ["0", "-1"])
     @pytest.mark.parametrize("argv", [
         ["ehm-scan", "--L", "4", "--U", "4", "--V", "1:2:{}"],
@@ -383,14 +398,15 @@ class TestParser:
 class TestImportCost:
     def test_only_the_ed_commands_load_scipy(self):
         # a fresh interpreter: importing the CLI loads no scipy and no logging
-        # at all, and the two ED commands load scipy.sparse.linalg on demand
-        # and run
+        # at all, and the two ED commands run, densely and by Lanczos, without
+        # ARPACK's scipy.sparse.linalg, which only a degenerate ground state loads
         probe = textwrap.dedent("""
             import contextlib, io, json, sys
             import orbent.cli
             loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "logging"))
             codes = []
-            for argv in (["dimer", "--U", "4"], ["ehm-scan", "--L", "4", "--U", "4", "--V", "1"]):
+            for argv in (["dimer", "--U", "4"], ["ehm-scan", "--L", "4", "--U", "4", "--V", "1"],
+                         ["ehm-scan", "--L", "8", "--U", "6", "--V", "3"]):
                 with contextlib.redirect_stdout(io.StringIO()):
                     codes.append(orbent.cli.main(argv))
             print(json.dumps({"loaded": loaded, "codes": codes,
@@ -399,4 +415,4 @@ class TestImportCost:
         env = dict(os.environ, PYTHONPATH=str(Path(orbent.__file__).resolve().parents[1]))
         proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, timeout=120, check=True)
-        assert json.loads(proc.stdout) == {"loaded": [], "codes": [0, 0], "linalg": True}
+        assert json.loads(proc.stdout) == {"loaded": [], "codes": [0, 0, 0], "linalg": False}

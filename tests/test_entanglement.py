@@ -473,6 +473,10 @@ def _row(sectors):
 
 _TOL = ssr.DETECTION_TOL
 _DEG = ent.DEGENERATE_TOL
+#: Weights -1e-12 outside the constrained sectors, which balance within
+#: them: the sum is within 1e-10 of one, the clipped sum is not.
+_CLIPPED_OFF_SUM = np.where(np.isin(np.arange(16), fock.SPIN_SECTOR + fock.PAIR_SECTOR),
+                            (1 + 0.99e-10 + 8e-12) / 8, -1e-12)
 
 
 class TestClosedFormBatch:
@@ -483,10 +487,17 @@ class TestClosedFormBatch:
         spectrum = ent.SectorSpectrum(p, variant=variant.ssr)
         return ent.entanglement_from_spectrum(spectrum, variant)
 
-    # rows within 1e-12 of the separability boundary, on either side of
-    # DEGENERATE_TOL, and with a balance just inside the tolerance
+    # rows within 1e-12 of the separability boundary or exactly on it in
+    # floats, on either side of DEGENERATE_TOL, with a balance just inside
+    # the tolerance, at the c = d = 0 corner, and under the parity rule with
+    # one sector separable and the other entangled
     EDGE_ROWS = {
         ssr.FormulaVariant.NSSR_SINGLET: [
+            _row([(0.125, 0.0625, 0.03125, 0.03125)]),
+            _row([(0.2, 0.2, 0.0, 0.0)]),
+            _row([(0.2, 0.1, 0.0, 0.0)]),
+            # |u - v| == tol in floats: balanced, so the linear test settles it
+            _row([(0.2 + 5e-11, 0.2, _TOL, 0.0)]),
             _row([(0.3, 0.1, 0.1 * (1 + 1e-12), 0.1 * (1 + 1e-12))]),
             _row([(0.3, 0.1, 0.1 * (1 - 1e-12), 0.1 * (1 - 1e-12))]),
             _row([(0.4, 0.05, _DEG * (1 + 1e-3), _DEG * (1 + 1e-3))]),
@@ -498,6 +509,8 @@ class TestClosedFormBatch:
             _row([(0.3, 0.1, 0.05, 0.2 * (1 - 1e-12))]),
             _row([(0.4, 0.05, _DEG * (1 + 1e-3), 0.01)]),
             _row([(0.2, 0.2, _DEG * (1 - 1e-3), 0.3)]),  # separable
+            _row([(0.125, 0.0625, 0.015625, 0.0625)]),
+            _row([(0.2, 0.2, 0.0, 0.0)]),
         ],
         ssr.FormulaVariant.PSSR_GENERAL: [
             _row([(0.2, 0.02, 0.05 + _TOL * (1 - 1e-6), 0.05),
@@ -510,6 +523,12 @@ class TestClosedFormBatch:
                   (0.3, 0.05, 0.1 + _TOL * (1 + 1e-6), 0.1)]),
             _row([(0.1, 0.3, 0.05, 0.2 * (1 - 1e-12)), (0.1, 0.05, 0.025, 0.025 * (1 + 1e-12))]),
             _row([(0.3, 0.05, _DEG * (1 + 1e-3), 0.01), (0.2, 0.02, 0.02, 0.02)]),
+            _row([(0.125, 0.0625, 0.015625, 0.0625), (0.125, 0.0625, 0.03125, 0.03125)]),
+            _row([(0.1, 0.1, 0.1, 0.1), (0.3, 0.02, 0.05, 0.05)]),
+            _row([(0.3, 0.02, 0.05, 0.04), (0.1, 0.1, 0.1, 0.1)]),
+            _row([(0.2, 0.2, 0.0, 0.0), (0.15, 0.15, 0.0, 0.0)]),
+            _row([(0.2, 0.1, 0.0, 0.0), (0.15, 0.15, 0.0, 0.0)]),
+            _row([(0.2, 0.1, 0.0, 0.0), (0.15 + 5e-11, 0.15, _TOL, 0.0)]),
         ],
     }
     DRAWS = {
@@ -533,6 +552,29 @@ class TestClosedFormBatch:
             assert {r.variant for r in results} == {ssr.FormulaVariant.PSSR_SYMMETRIC,
                                                     ssr.FormulaVariant.PSSR_GENERAL}
 
+    @pytest.mark.parametrize("variant", list(EDGE_ROWS))
+    def test_only_entangled_rows_reach_the_sector_solutions(self, variant, monkeypatch):
+        # separable rows, those exactly on a boundary included, are settled
+        # with no row-by-row solve
+        weights = np.vstack(self.EDGE_ROWS[variant])
+        entangled = []
+        for p in weights:
+            details = self.scalar(p, variant).details
+            sectors = [details] if "separable" in details else details.values()
+            if not all(sector["separable"] for sector in sectors):
+                entangled.append(p.tolist())
+        assert 0 < len(entangled) < len(weights)
+        solved = []
+        real = ent._solve
+
+        def spy(p, q, solvers):
+            solved.append(p.tolist())
+            return real(p, q, solvers)
+
+        monkeypatch.setattr(ent, "_solve", spy)
+        ent.closed_form_batch(weights, variant)
+        assert solved == entangled
+
     FAILING_ROWS = [
         (ssr.FormulaVariant.NSSR_SINGLET, _row([(0.4, 0.05, 0.01 + _TOL * (1 + 1e-6), 0.01)])),
         (ssr.FormulaVariant.NSSR_GENERAL, _row([(0.4, 0.05, _DEG * (1 - 1e-3), 0.01)])),
@@ -541,6 +583,9 @@ class TestClosedFormBatch:
         (ssr.FormulaVariant.NSSR_GENERAL, np.full(16, 0.9 / 16)),
         (ssr.FormulaVariant.NSSR_SINGLET, np.where(np.arange(16) == 4, -1e-9, 1 / 15 + 1e-9 / 15)),
         (ssr.FormulaVariant.PSSR_GENERAL, np.where(np.arange(16) == 2, np.nan, 1 / 16)),
+        # separable, but the clipped weights miss unit sum by 1.07e-10
+        (ssr.FormulaVariant.NSSR_SINGLET, _CLIPPED_OFF_SUM),
+        (ssr.FormulaVariant.PSSR_GENERAL, _CLIPPED_OFF_SUM),
     ]
 
     @pytest.mark.parametrize("variant, bad", FAILING_ROWS)

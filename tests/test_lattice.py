@@ -268,6 +268,30 @@ class TestLanczosSolver:
         with pytest.raises(OrbentError, match="did not converge in 15 Lanczos steps"):
             lattice.ground_state(h, dense_cutoff=10)
 
+    @pytest.mark.parametrize("matrix_free", [False, True])
+    @pytest.mark.parametrize("u, error, message", [
+        # a norm bound of about 20 leaves the certificate far above rounding
+        (4.0, OrbentError, r"^eigensolver residual \S+ too large$"),
+        (1e9, ValueError, r"^eigensolver residual \S+ too large: these couplings put the 1e-08 "
+                          r"residual certificate out of reach, below rounding at the "
+                          r"Hamiltonian's Gershgorin norm bound 3\.000e\+09$"),
+    ])
+    def test_residual_refusal_names_its_cause(self, u, error, message, matrix_free, monkeypatch):
+        # a Ritz value 1e-3 off: a solver failure, unless the couplings put the
+        # residual certificate below rounding anyway
+        run = lattice._lanczos_lowest
+
+        def off(*args):
+            theta, *rest = run(*args)
+            return (theta + 1e-3, *rest)
+
+        monkeypatch.setattr(lattice, "_lanczos_lowest", off)
+        chain = lattice.ChainSpec(6, 3, 3, u=u)
+        h = lattice._SectorOperator(chain) if matrix_free else lattice.build_hamiltonian(chain)
+        with pytest.raises(error, match=message) as caught:
+            lattice.ground_state(h, dense_cutoff=10)
+        assert isinstance(caught.value, OrbentError) == (error is OrbentError)
+
     @pytest.fixture
     def run_steps(self, monkeypatch):
         """Steps of each Lanczos run, in order: the ground run, then the gap run."""

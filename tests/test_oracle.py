@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -291,6 +292,16 @@ def sector_target(sector, roles, rest):
     return p
 
 
+def two_sector_target(spin, pair):
+    """16 target weights: ``spin`` and ``pair`` on their sectors, the rest of
+    the mass on a weight outside both."""
+    p = np.zeros(16)
+    p[list(fock.SPIN_SECTOR)] = spin
+    p[list(fock.PAIR_SECTOR)] = pair
+    p[1] = 1.0 - p.sum()
+    return p
+
+
 def scalar_outcome(p, rule):
     """The single-problem oracle's value bits, or its error type and message."""
     try:
@@ -335,9 +346,15 @@ class TestKlMinOracleBatch:
             oracle.kl_min_oracle_batch([valid[0], refused, valid[1]], "number")
         assert str(caught.value) == message
 
-    def test_each_row_goes_through_the_single_problem_oracle(self, rng, monkeypatch):
-        # a replaced kl_min_oracle sees every row, as a fault injected there must
-        targets = random_weights(rng, "general", size=5)
+    def test_each_entangled_row_goes_through_the_single_problem_oracle(self, rng, monkeypatch):
+        # a replaced kl_min_oracle sees every row with an entangled constrained
+        # sector, in row order, as a fault injected there must; the separable
+        # rows are settled to 0.0 without it
+        targets = random_weights(rng, "general", size=20)
+        entangled = [any(p[c] * p[d] < ((p[x] - p[y]) / 2.0) ** 2
+                         for x, y, c, d in (fock.SPIN_SECTOR, fock.PAIR_SECTOR))
+                     for p in targets.tolist()]
+        assert 0 < sum(entangled) < len(targets)
         seen = []
         real = oracle.kl_min_oracle
 
@@ -346,8 +363,83 @@ class TestKlMinOracleBatch:
             return dataclasses.replace(real(problem), value=1.0)
 
         monkeypatch.setattr(oracle, "kl_min_oracle", spy)
-        assert oracle.kl_min_oracle_batch(targets, "parity").tolist() == [1.0] * 5
-        assert seen == [(p.tolist(), "parity") for p in targets]
+        values = oracle.kl_min_oracle_batch(targets, "parity")
+        assert values.tolist() == [1.0 if e else 0.0 for e in entangled]
+        assert seen == [(p.tolist(), "parity") for p, e in zip(targets, entangled) if e]
+
+    #: Parity-rule rows beside the edges of the separability test, as (spin,
+    #: pair) sectors in (x, y | c, d) order, and whether each is separable.
+    EDGE_ROWS = [
+        # c d == ((x - y)/2)^2 exactly, with unbalanced and balanced products
+        (((0.125, 0.0625, 0.015625, 0.0625), (0.125, 0.0625, 0.03125, 0.03125)), True),
+        # one sector separable, the other entangled
+        (((0.1, 0.1, 0.1, 0.1), (0.3, 0.02, 0.05, 0.05)), False),
+        (((0.3, 0.02, 0.05, 0.04), (0.1, 0.1, 0.1, 0.1)), False),
+        # the c = d = 0 corner: separable only at x == y
+        (((0.2, 0.2, 0.0, 0.0), (0.15, 0.15, 0.0, 0.0)), True),
+        (((0.2, 0.1, 0.0, 0.0), (0.15, 0.15, 0.0, 0.0)), False),
+        (((0.2, 0.2, 0.0, 0.0), (0.0, 0.15, 0.0, 0.0)), False),
+    ]
+
+    def test_edge_rows_match_the_scalar_bits(self, monkeypatch):
+        targets = np.array([two_sector_target(*sectors) for sectors, _ in self.EDGE_ROWS])
+        on_boundary = targets[0].tolist()
+        for x, y, c, d in (fock.SPIN_SECTOR, fock.PAIR_SECTOR):
+            assert on_boundary[c] * on_boundary[d] == ((on_boundary[x] - on_boundary[y]) / 2.0) ** 2
+        expected = {rule: [scalar_outcome(p, rule) for p in targets] for rule in ("number", "parity")}
+        solved = []
+        real = oracle.kl_min_oracle
+
+        def spy(problem):
+            solved.append(problem.target.tolist())
+            return real(problem)
+
+        monkeypatch.setattr(oracle, "kl_min_oracle", spy)
+        for rule in ("number", "parity"):
+            solved.clear()
+            values = oracle.kl_min_oracle_batch(targets, rule)
+            assert [v.hex() for v in values.tolist()] == expected[rule]
+        # under the parity rule, the separable rows, the one on the boundary
+        # included, are settled without a scalar solve
+        assert solved == [p.tolist() for p, (_, separable) in zip(targets, self.EDGE_ROWS)
+                          if not separable]
+        assert [v == 0.0 for v in values.tolist()] == [separable for _, separable in self.EDGE_ROWS]
+
+    def test_separable_row_outside_the_feasibility_certificate_raises_in_row_order(self):
+        # |sum - 1| = 5e-11 passes the target check but not FEASIBILITY_TOL, so
+        # the separable row is not settled: the scalar path refuses it
+        off = np.full(16, 1 / 16.0) * (1.0 + 5e-11)
+        assert 1e-12 < abs(off.sum() - 1.0) <= 1e-10
+        error, message = scalar_outcome(off, "parity")
+        assert error is OracleConvergenceError and message.startswith("solution not certified")
+        refused = sector_target((0.3, 0.0, 1e-310, 0.0), fock.SPIN_SECTOR, fock.VACUUM)
+        entangled = two_sector_target((0.3, 0.02, 0.05, 0.04), (0.1, 0.1, 0.1, 0.1))
+        for rows in ([entangled, off, refused], [off, refused], [off]):
+            with pytest.raises(OracleConvergenceError) as caught:
+                oracle.kl_min_oracle_batch(rows, "parity")
+            assert str(caught.value) == message
+
+    def test_fortran_ordered_rows_keep_the_scalar_sums(self):
+        # a row whose sum is within FEASIBILITY_TOL of one in the scalar's
+        # pairwise order and outside it when added column by column
+        rng = np.random.default_rng(3)
+        for _ in range(1000):
+            row = rng.uniform(0.7, 1.3, 16)
+            row /= row.sum()
+            row[0] += oracle.FEASIBILITY_TOL
+            ulp = math.ulp(row[0])
+            rows = [row + np.eye(16)[0] * k * ulp for k in range(-8, 9)]
+            sequential = np.asfortranarray(rows).sum(axis=1)
+            apart = [k for k, r in enumerate(rows)
+                     if abs(r.sum() - 1.0) > oracle.FEASIBILITY_TOL >= abs(sequential[k] - 1.0)]
+            if apart:
+                break
+        assert apart
+        chunk = np.asfortranarray([rows[apart[0]]] * 2)
+        error, message = scalar_outcome(chunk[0], "number")
+        assert error is OracleConvergenceError
+        with pytest.raises(OracleConvergenceError, match=re.escape(message)):
+            oracle.kl_min_oracle_batch(chunk, "number")
 
     def test_first_bad_target_raises_its_scalar_error(self, rng):
         valid = random_weights(rng, "general", size=2)

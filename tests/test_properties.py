@@ -66,6 +66,66 @@ def test_formula_matches_oracle_beside_the_separability_boundary(spin, pair, rul
     assert abs(sol.value - formula.value) <= 1e-12
 
 
+@st.composite
+def boundary_spectra(draw):
+    """Weights whose constrained sectors each sit within 1e-12 of the
+    separability boundary, on either side, or on it up to rounding; each
+    sector's product weights are equal, balanced within twice the detection
+    tolerance, or drawn freely."""
+    weight = st.floats(1e-6, 0.08)
+    sectors = {}
+    for roles in (fock.SPIN_SECTOR, fock.PAIR_SECTOR):
+        y, u = draw(weight), draw(weight)
+        balance = draw(st.sampled_from(["equal", "near", "free"]))
+        if balance == "free":
+            v = draw(weight)
+        else:
+            v = u + (draw(st.floats(-2 * ssr.DETECTION_TOL, 2 * ssr.DETECTION_TOL))
+                     if balance == "near" else 0.0)
+        x = y + 2.0 * math.sqrt(u * v) + draw(st.just(0.0) | st.floats(-1e-12, 1e-12))
+        sectors[roles] = (y, x, u, v) if draw(st.booleans()) else (x, y, u, v)
+    return spectrum(sectors)
+
+
+def outcomes_match(batch, scalar, rows) -> bool:
+    """Whether ``batch(rows)`` equals ``[scalar(row) for row in rows]``, or,
+    when a row fails, raises the first failing row's error."""
+    def outcome(call):
+        try:
+            return "returned", call()
+        except (OrbentError, ValueError) as exc:
+            return "raised", type(exc), str(exc)
+
+    expected = [outcome(lambda row=row: scalar(row)) for row in rows]
+    raised = [o for o in expected if o[0] == "raised"]
+    return outcome(lambda: batch(rows)) == (
+        raised[0] if raised else ("returned", [value for _, value in expected]))
+
+
+@PROPERTY
+@given(rows=st.lists(boundary_spectra(), min_size=1, max_size=6))
+def test_batches_match_their_scalar_paths_beside_the_separability_boundary(rows):
+    # the settling passes of both batches decide as the scalar paths do
+    rows = np.array(rows)
+    for rule in ("number", "parity"):
+        assert outcomes_match(
+            lambda p: [v.hex() for v in oracle.kl_min_oracle_batch(p, rule).tolist()],
+            lambda p: oracle.kl_min_oracle(oracle.ConstrainedSimplexProblem(p, rule)).value.hex(),
+            rows)
+    for variant in (ssr.FormulaVariant.NSSR_SINGLET, ssr.FormulaVariant.NSSR_GENERAL,
+                    ssr.FormulaVariant.PSSR_GENERAL):
+        def scalar(p):
+            result = ent.entanglement_from_spectrum(ent.SectorSpectrum(p, variant=variant.ssr),
+                                                    variant)
+            return result.value.hex(), result.closest_weights.tobytes()
+
+        def batch(p):
+            values, closest = ent.closed_form_batch(p, variant)
+            return [(v.hex(), q.tobytes()) for v, q in zip(values.tolist(), closest)]
+
+        assert outcomes_match(batch, scalar, rows)
+
+
 @PROPERTY
 @given(x=st.floats(0.3, 0.5), others=st.lists(st.floats(1e-3, 0.1), min_size=3, max_size=3),
        which=st.sampled_from([1, 2, 3]), factor=st.floats(0.5, 2.0))
