@@ -14,7 +14,6 @@ import copy
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
@@ -47,7 +46,8 @@ log = logging.getLogger(__name__)
 
 MAX_SITES = 14
 #: Largest sector Hamiltonian, in stored CSR bytes, that a build may start
-#: (the build itself peaks at about twice this, measured at L = 12), and
+#: (the Kronecker build peaks at about 2.2 times this: 285 MiB above the
+#: process's baseline for the 130 MiB matrix of L = 12, measured), and
 #: largest set of sector vectors a matrix-free solve may hold.
 MAX_HAMILTONIAN_BYTES = 512 * 2**20
 #: Bytes of Lanczos vectors a ground run keeps for its Ritz vector, in one
@@ -57,8 +57,6 @@ LANCZOS_BASIS_BYTES = 16 * 2**20
 #: at its peak (the Ritz sum): the start vector, the Ritz sum and its three
 #: rebuild vectors, and the operator's diagonal and two buffers.
 SOLVE_VECTORS = 8
-#: Stored entries a pass of the Hamiltonian assembly fills at most (about).
-ASSEMBLY_ENTRIES = 2**18
 DENSE_CUTOFF = 2000
 DEGENERACY_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
@@ -196,6 +194,13 @@ def _species_hopping(states: np.ndarray, length: int, bonds) -> sparse.csr_matri
     return sparse.csr_matrix((vals[order], cols[order].astype(np.int32), indptr), shape=(n, n))
 
 
+def _sector_hoppings(chain: ChainSpec, basis: SectorBasis):
+    """The up and down hoppings of the sector: one matrix for both when ``n_up == n_dn``."""
+    k_up = _species_hopping(basis.up_states, chain.length, chain.bonds)
+    return k_up, (k_up if chain.n_up == chain.n_dn
+                  else _species_hopping(basis.dn_states, chain.length, chain.bonds))
+
+
 def _hamiltonian_size(k_up: sparse.csr_matrix, k_dn: sparse.csr_matrix) -> tuple[int, int]:
     """Stored entries and CSR bytes of the sector Hamiltonian over these hoppings.
 
@@ -209,78 +214,6 @@ def _hamiltonian_size(k_up: sparse.csr_matrix, k_dn: sparse.csr_matrix) -> tuple
     dim = n_up * n_dn
     nnz = k_up.nnz * n_dn + n_up * k_dn.nnz + dim
     return nnz, 12 * nnz + 4 * (dim + 1)
-
-
-class _Kinetic(NamedTuple):
-    """CSR arrays of a sector Hamiltonian with its interaction diagonal left zero."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    #: ``-t_hop * (+-1)`` at each hopping, 0 at each diagonal slot.
-    data: np.ndarray
-    #: Position in ``data`` of each row's diagonal slot, in row order.
-    diagonal: np.ndarray
-
-
-def _row_ranks(k: sparse.csr_matrix):
-    """Row, rank within its row, and whether its column lies past the diagonal, per entry."""
-    rows = np.repeat(np.arange(k.shape[0]), np.diff(k.indptr))
-    return rows, np.arange(k.nnz) - k.indptr[rows], k.indices > rows
-
-
-def _kinetic(chain: ChainSpec, basis: SectorBasis) -> _Kinetic:
-    """CSR arrays of ``-t (K_up x 1 + 1 x K_dn)`` plus a slot for each diagonal entry.
-
-    Independent of ``u`` and ``v``.  The arrays are assembled in place, with
-    no sparse sum: row ``(a, b)`` (up index ``a``, down index ``b``) stores,
-    by ascending column, the up hoppings to ``a' < a``, the down hoppings of
-    row ``b`` with the diagonal slot among them, then the up hoppings to
-    ``a' > a``, which is the sorted layout of the Kronecker sum.  Each
-    species' hopping is built once, and once for both when ``n_up == n_dn``.
-    Refuses, before any sector-sized allocation, a sector whose Hamiltonian
-    would exceed :data:`MAX_HAMILTONIAN_BYTES`.
-    """
-    bonds = chain.bonds
-    k_up = _species_hopping(basis.up_states, chain.length, bonds)
-    k_dn = k_up if chain.n_up == chain.n_dn else _species_hopping(basis.dn_states,
-                                                                  chain.length, bonds)
-    nnz, stored = _hamiltonian_size(k_up, k_dn)
-    if stored > MAX_HAMILTONIAN_BYTES:
-        raise OrbentError(
-            f"sector Hamiltonian would store {nnz} nonzeros in {stored / 2**20:.0f} MiB, "
-            f"above the {MAX_HAMILTONIAN_BYTES / 2**20:.0f} MiB limit"
-        )
-    n_up, n_dn = k_up.shape[0], k_dn.shape[0]
-    hop = -chain.t_hop
-    rows_up, rank_up, past_up = _row_ranks(k_up)
-    rows_dn, rank_dn, past_dn = _row_ranks(k_dn)
-    deg_dn = np.diff(k_dn.indptr)
-    lengths = np.diff(k_up.indptr)[:, None] + (deg_dn + 1)[None, :]
-    # the preflight bounds nnz far below 2**31, so CSR keeps 4-byte indices
-    indptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int32)
-    starts = indptr[:-1].reshape(n_up, n_dn)
-    down_starts = starts + np.bincount(rows_up[~past_up], minlength=n_up)[:, None]
-    diagonal = down_starts + np.bincount(rows_dn[~past_dn], minlength=n_dn)[None, :]
-    indices = np.empty(nnz, dtype=np.int32)
-    data = np.empty(nnz)
-    # a few up rows at a time: the temporaries stay small and each pass fills
-    # one stretch of the arrays (at L = 12, 0.17 s against 0.3 s in one pass);
-    # values of the target's dtype and the slots' shape take numpy's fast path
-    step = max(1, ASSEMBLY_ENTRIES * n_up // nnz)
-    for a0 in range(0, n_up, step):
-        a1 = min(a0 + step, n_up)
-        slots = diagonal[a0:a1]
-        indices[slots] = np.arange(a0 * n_dn, a1 * n_dn, dtype=np.int32).reshape(slots.shape)
-        data[slots] = 0.0
-        slots = down_starts[a0:a1, rows_dn] + (rank_dn + past_dn)[None, :]
-        indices[slots] = np.arange(a0, a1, dtype=np.int32)[:, None] * n_dn + k_dn.indices
-        data[slots] = np.tile(hop * k_dn.data, (a1 - a0, 1))
-        up = slice(k_up.indptr[a0], k_up.indptr[a1])
-        slots = (starts[rows_up[up], :] + rank_up[up, None]
-                 + past_up[up, None] * (deg_dn + 1)[None, :])
-        indices[slots] = (k_up.indices[up] * n_dn)[:, None] + np.arange(n_dn, dtype=np.int32)
-        data[slots] = np.repeat(hop * k_up.data[up], n_dn).reshape(slots.shape)
-    return _Kinetic(indptr, indices, data, diagonal.ravel())
 
 
 def _interaction_diagonal(chain: ChainSpec, occ_up: np.ndarray, occ_dn: np.ndarray) -> np.ndarray:
@@ -313,31 +246,32 @@ def _float_occupancy(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray]:
                  for states in (basis.up_states, basis.dn_states))
 
 
-def build_hamiltonian(chain: ChainSpec, basis: SectorBasis | None = None, *,
-                      kinetic: _Kinetic | None = None) -> sparse.csr_matrix:
-    """Sparse real-symmetric Hamiltonian on the sector basis.
+def build_hamiltonian(chain: ChainSpec, basis: SectorBasis | None = None) -> sparse.csr_matrix:
+    """Sparse real-symmetric sector Hamiltonian ``-t (K_up x 1 + 1 x K_dn) + diag(D)``.
 
-    Copies the hopping values of the :func:`_kinetic` arrays and writes the
-    interaction diagonal into their diagonal slots; the matrix shares their
-    row pointers and column indices unless an entry is exactly zero, which,
-    like a sparse sum, it does not store.  ``kinetic`` is built once for a
-    chain that differs from ``chain`` at most in ``u`` and ``v``.  The ED
-    commands solve through the matrix-free :class:`_SectorOperator`; this
-    matrix is the reference the tests check it against.
+    ``K_up`` and ``K_dn`` are the species hoppings of :func:`_species_hopping`
+    and ``D`` the interaction diagonal.  Like any sparse sum, the matrix
+    stores no entry that is exactly zero (``t_hop = 0``, or a zero diagonal
+    entry).  Refuses, before any sector-sized allocation, a sector whose
+    Hamiltonian would exceed :data:`MAX_HAMILTONIAN_BYTES`.  The ED commands
+    solve through the matrix-free :class:`_SectorOperator`; this matrix is
+    the reference the tests check it against.
     """
     if basis is None:
         basis = sector_basis(chain.length, chain.n_up, chain.n_dn)
-    if kinetic is None:
-        kinetic = _kinetic(chain, basis)
+    k_up, k_dn = _sector_hoppings(chain, basis)
+    nnz, stored = _hamiltonian_size(k_up, k_dn)
+    if stored > MAX_HAMILTONIAN_BYTES:
+        raise OrbentError(
+            f"sector Hamiltonian would store {nnz} nonzeros in {stored / 2**20:.0f} MiB, "
+            f"above the {MAX_HAMILTONIAN_BYTES / 2**20:.0f} MiB limit"
+        )
     diag = _interaction_diagonal(chain, *_float_occupancy(basis))
-    data = kinetic.data.copy()
-    data[kinetic.diagonal] = diag.ravel()
-    indices, indptr = kinetic.indices, kinetic.indptr
-    stored = data != 0.0
-    if not stored.all():
-        data, indices = data[stored], indices[stored]
-        indptr = np.concatenate(([0], np.cumsum(stored)))[indptr].astype(np.int32)
-    return sparse.csr_matrix((data, indices, indptr), shape=(basis.dim, basis.dim))
+    n_up, n_dn = k_up.shape[0], k_dn.shape[0]
+    # scaled before the products, which spares a sector-sized copy of their sum
+    kinetic = (sparse.kron(-chain.t_hop * k_up, sparse.identity(n_dn), format="csr")
+               + sparse.kron(sparse.identity(n_up), -chain.t_hop * k_dn, format="csr"))
+    return (kinetic + sparse.diags(diag.ravel())).tocsr()
 
 
 def _krylov_rows(dim: int) -> int:
@@ -350,11 +284,13 @@ class _SectorOperator:
 
     ``X`` is the ``(n_up, n_dn)`` amplitude array of a sector vector (the
     basis's combined index, row-major), ``K_up`` and ``K_dn`` the species
-    hoppings of :func:`_species_hopping` and ``D`` the interaction diagonal of
-    :func:`build_hamiltonian` (Weiße & Fehske, Lect. Notes Phys. 739 (2008),
-    §2-3).  The hoppings depend on the chain's geometry and ``t_hop`` only, so
-    :meth:`at` reuses them, and the buffers, for another ``(U, V)``.  Like a
-    matrix it has ``shape``, ``dtype``, ``@`` and ``toarray``, which is
+    hoppings of :func:`_species_hopping` and ``D`` the interaction diagonal
+    (Weiße & Fehske, Lect. Notes Phys. 739 (2008), §2-3): the matrix of
+    :func:`build_hamiltonian`, applied without it.  The hoppings depend on the
+    chain's geometry and ``t_hop`` only, so :meth:`at` reuses them, and the
+    buffers, for another ``(U, V)``.  :func:`ground_state` solves through
+    ``apply`` and ``interval``; like a matrix the operator also has
+    ``shape``, ``dtype``, ``@`` and ``toarray``, which is
     ``build_hamiltonian(...).toarray()`` bit for bit.  Refuses, before any
     sector-sized allocation, a sector whose Lanczos solve would hold more
     than :data:`MAX_HAMILTONIAN_BYTES` of vectors.
@@ -365,9 +301,7 @@ class _SectorOperator:
     def __init__(self, chain: ChainSpec, basis: SectorBasis | None = None):
         if basis is None:
             basis = sector_basis(chain.length, chain.n_up, chain.n_dn)
-        k_up = _species_hopping(basis.up_states, chain.length, chain.bonds)
-        k_dn = k_up if chain.n_up == chain.n_dn else _species_hopping(basis.dn_states,
-                                                                      chain.length, chain.bonds)
+        k_up, k_dn = _sector_hoppings(chain, basis)
         n_up, n_dn = k_up.shape[0], k_dn.shape[0]
         dim = n_up * n_dn
         vectors = _krylov_rows(dim) + SOLVE_VECTORS
@@ -455,6 +389,36 @@ class _SectorOperator:
         return dense
 
 
+class _CsrOperator:
+    """A sparse matrix behind the interface of :class:`_SectorOperator`, in CSR form.
+
+    ``apply`` zeroes ``out`` and makes one ``csr_matvec`` kernel call into it:
+    the bits of ``@``, which calls the kernel on a new zeroed vector, with no
+    allocation, dispatch or copy.  ``interval`` is the union of the matrix's
+    Gershgorin discs.
+    """
+
+    def __init__(self, matrix: sparse.spmatrix):
+        self._matrix = matrix = matrix.tocsr()
+        self.shape, self.dtype = matrix.shape, matrix.dtype
+        dim, diag = self.shape[0], matrix.diagonal()
+        radius = self.apply(np.ones(dim), np.empty(dim), np.abs(matrix.data)) - np.abs(diag)
+        self.interval = float((diag - radius).min()), float((diag + radius).max())
+
+    def apply(self, x: np.ndarray, out: np.ndarray, data: np.ndarray | None = None) -> np.ndarray:
+        """``H x`` into ``out``, with ``data`` in place of the stored values if given."""
+        out.fill(0.0)
+        csr_matvec(*self.shape, self._matrix.indptr, self._matrix.indices,
+                   self._matrix.data if data is None else data, x, out)
+        return out
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self._matrix @ x
+
+    def toarray(self) -> np.ndarray:
+        return self._matrix.toarray()
+
+
 @dataclass(frozen=True)
 class GroundState:
     """Lowest eigenpair of a sector Hamiltonian.
@@ -494,7 +458,7 @@ class GroundState:
             raise OrbentError(f"eigensolver residual {self.residual:.3e} too large")
 
 
-def _lowest_eigenpairs(hamiltonian: sparse.spmatrix, k: int, v0: np.ndarray):
+def _lowest_eigenpairs(hamiltonian: _SectorOperator | _CsrOperator, k: int, v0: np.ndarray):
     """The ``k`` lowest eigenpairs by ARPACK, in ascending order, and its matvec count."""
     # only a degenerate ground state gets here: the other solves skip the import
     import scipy.sparse.linalg as sparse_linalg
@@ -612,33 +576,7 @@ def _ritz_vector(apply, krylov: np.ndarray, s: np.ndarray, alphas, betas) -> np.
     return x
 
 
-def _matvec(hamiltonian: sparse.csr_matrix, x: np.ndarray, out: np.ndarray,
-            data: np.ndarray | None = None) -> np.ndarray:
-    """``hamiltonian @ x`` into ``out``, by the kernel and with the bits of ``@``.
-
-    scipy's ``@`` calls ``csr_matvec`` on a new zeroed vector; this zeroes
-    ``out`` instead, so the product costs no allocation, dispatch or copy.
-    ``data`` replaces the stored values (``abs`` of them gives the product of
-    ``abs(hamiltonian)``).  ``x`` and ``out`` are contiguous float64 vectors.
-    """
-    out.fill(0.0)
-    n_rows, n_cols = hamiltonian.shape
-    csr_matvec(n_rows, n_cols, hamiltonian.indptr, hamiltonian.indices,
-               hamiltonian.data if data is None else data, x, out)
-    return out
-
-
-def _gershgorin_interval(hamiltonian: sparse.csr_matrix) -> tuple[float, float]:
-    """An interval that holds the whole spectrum: the union of Gershgorin discs."""
-    dim = hamiltonian.shape[0]
-    diag = hamiltonian.diagonal()
-    row_sums = _matvec(hamiltonian, np.ones(dim), np.empty(dim), data=np.abs(hamiltonian.data))
-    radius = row_sums - np.abs(diag)
-    return float((diag - radius).min()), float((diag + radius).max())
-
-
 def ground_state(hamiltonian: sparse.spmatrix | _SectorOperator, *, seed: int = 7,
-                 degeneracy_tol: float = DEGENERACY_TOL,
                  dense_cutoff: int = DENSE_CUTOFF) -> GroundState:
     """Lowest eigenpair, dense below ``dense_cutoff``, else Lanczos with fixed seed.
 
@@ -654,24 +592,20 @@ def ground_state(hamiltonian: sparse.spmatrix | _SectorOperator, *, seed: int = 
     ``psi`` above the spectrum and leaves every other level, so the lowest
     Ritz value of that run, to a residual of ``GAP_RITZ_TOL``, is ``E1``.  A
     degenerate partner of ``psi`` stays at ``E0`` there.  When ``E1 - E0 <
-    degeneracy_tol``, ARPACK solves for the ``min(6, dim - 1)`` lowest pairs
+    DEGENERACY_TOL``, ARPACK solves for the ``min(6, dim - 1)`` lowest pairs
     from the first start vector, so that ``multiplet`` holds the whole
     multiplet; a single Lanczos vector cannot.  A sector of at most seven
     states, where those ``dim - 1`` pairs could miss a multiplet that fills
     it, is solved densely instead.
 
-    ``hamiltonian`` is a real symmetric sparse matrix or a
-    :class:`_SectorOperator`; the dense path diagonalizes the same dense
-    matrix for both.  On a matrix every product the runs make is one
-    ``csr_matvec`` kernel call into a vector the run owns (:func:`_matvec`),
-    with the bits of ``hamiltonian @ x``, and a matrix in another sparse
-    format is converted to CSR first.  On an operator every product is its
-    :meth:`_SectorOperator.apply`, and its Gershgorin interval replaces the
-    matrix's row sums.
+    ``hamiltonian`` is a :class:`_SectorOperator` or a real symmetric sparse
+    matrix, which is wrapped in a :class:`_CsrOperator`: one path serves
+    both.  Every product the runs make is the operator's ``apply`` into a
+    vector the run owns, the solver's norm bounds come from its Gershgorin
+    ``interval``, and the dense path diagonalizes its ``toarray``.
     """
-    matrix_free = isinstance(hamiltonian, _SectorOperator)
-    if not matrix_free and hamiltonian.format != "csr":
-        hamiltonian = hamiltonian.tocsr()
+    if not isinstance(hamiltonian, _SectorOperator):
+        hamiltonian = _CsrOperator(hamiltonian)
     dim = hamiltonian.shape[0]
     matvecs = 0
     if dim <= dense_cutoff:
@@ -680,19 +614,13 @@ def ground_state(hamiltonian: sparse.spmatrix | _SectorOperator, *, seed: int = 
         rng = np.random.default_rng(seed)
         v0 = rng.normal(size=dim)
         v0 /= np.linalg.norm(v0)
-        if matrix_free:
-            product, (low, high) = hamiltonian.apply, hamiltonian.interval
-        else:
-            def product(x, out):
-                return _matvec(hamiltonian, x, out)
-
-            low, high = _gershgorin_interval(hamiltonian)
+        low, high = hamiltonian.interval
         norm, width = max(-low, high), high - low
 
         def apply(x, out):
             nonlocal matvecs
             matvecs += 1
-            return product(x, out)
+            return hamiltonian.apply(x, out)
 
         krylov = np.empty((_krylov_rows(dim), dim))
         e0, s, alphas, betas = _lanczos_lowest(apply, v0, GROUND_RITZ_TOL, norm, krylov)
@@ -709,7 +637,7 @@ def ground_state(hamiltonian: sparse.spmatrix | _SectorOperator, *, seed: int = 
 
             e1 = _lanczos_lowest(apply_deflated, v1, GAP_RITZ_TOL, norm + width)[0]
         energies, vectors = np.array([e0, e1]), psi[:, None]
-        if e1 - e0 < degeneracy_tol:
+        if e1 - e0 < DEGENERACY_TOL:
             if dim <= 7:
                 # ARPACK's k = dim - 1 pairs cannot hold a multiplet that fills the sector
                 energies, vectors = np.linalg.eigh(hamiltonian.toarray())
@@ -721,14 +649,14 @@ def ground_state(hamiltonian: sparse.spmatrix | _SectorOperator, *, seed: int = 
     psi = vectors[:, 0] / np.linalg.norm(vectors[:, 0])
     residual = float(np.linalg.norm(hamiltonian @ psi - e0 * psi))
     if residual > RESIDUAL_TOL:
-        low, high = hamiltonian.interval if matrix_free else _gershgorin_interval(hamiltonian)
+        low, high = hamiltonian.interval
         norm = max(-low, high)
         if RESIDUAL_TOL < RESIDUAL_ROUNDING * norm:
             raise ValueError(
                 f"eigensolver residual {residual:.3e} too large: these couplings put the "
                 f"{RESIDUAL_TOL:g} residual certificate out of reach, below rounding at the "
                 f"Hamiltonian's Gershgorin norm bound {norm:.3e}")
-    in_multiplet = np.nonzero(energies - e0 < degeneracy_tol)[0]
+    in_multiplet = np.nonzero(energies - e0 < DEGENERACY_TOL)[0]
     gap = float(energies[1] - e0) if len(energies) > 1 else math.inf
     return GroundState(
         energy=e0,
@@ -866,7 +794,9 @@ def two_orbital_rdm(state: GroundState | np.ndarray, basis: SectorBasis,
         if state.degenerate:
             if on_degenerate == "raise":
                 raise DegenerateGroundStateError(
-                    "ground state is degenerate; request the symmetrized mixture explicitly"
+                    f"ground state is degenerate: its energy gap {state.energy_gap:.3e} is "
+                    f"below DEGENERACY_TOL = {DEGENERACY_TOL:g}; the API argument "
+                    'on_degenerate="mixture" of two_orbital_rdm averages over the multiplet'
                 )
             if on_degenerate != "mixture":
                 raise ValueError(f"unknown degeneracy policy {on_degenerate!r}")

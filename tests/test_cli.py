@@ -338,6 +338,15 @@ class TestDimerCommand:
         assert abs(payload["entanglement_number_rule_nats"] - 0.5 * LN2) < 1e-10
         assert payload["entanglement_parity_rule_nats"] >= payload["entanglement_number_rule_nats"]
 
+    def test_degenerate_refusal_names_the_gap_and_the_api_argument(self, capsys):
+        # the singlet-triplet gap 4 t^2 / U falls below the degeneracy tolerance;
+        # no command averages over the multiplet, so the refusal names the API
+        code, out, err = run(["dimer", "--U", "1e12"], capsys)
+        assert code == cli.EXIT_FAILURE and out == ""
+        assert re.fullmatch(r"error: ground state is degenerate: its energy gap \S+ is below "
+                            r"DEGENERACY_TOL = 1e-10; the API argument on_degenerate=\"mixture\" "
+                            r"of two_orbital_rdm averages over the multiplet\n", err)
+
 
 class TestSeniorityCommand:
     def test_total(self, tmp_path, capsys):

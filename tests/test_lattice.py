@@ -95,17 +95,6 @@ class TestHamiltonian:
         levels = np.linalg.eigvalsh(hop)
         assert gs.energy == pytest.approx(2 * levels[:4].sum(), abs=1e-10)
 
-    @pytest.mark.parametrize("chain", [lattice.ChainSpec(6, 3, 3, u=4.0, v=1.0),
-                                       lattice.ChainSpec(5, 2, 3, t_hop=0.7, u=2.0, v=0.7,
-                                                         boundary="periodic")])
-    def test_prebuilt_kinetic_gives_the_same_matrix(self, chain):
-        basis = lattice.sector_basis(chain.length, chain.n_up, chain.n_dn)
-        kinetic = lattice._kinetic(replace(chain, u=0.0, v=0.0), basis)
-        reference = lattice.build_hamiltonian(chain, basis)
-        reused = lattice.build_hamiltonian(chain, basis, kinetic=kinetic)
-        for field in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(reused, field), getattr(reference, field))
-
     def test_strong_coupling_heisenberg_limit(self):
         chain = lattice.ChainSpec(2, 1, 1, u=1000.0)
         basis = lattice.sector_basis(2, 1, 1)
@@ -471,19 +460,31 @@ class TestSparseKernel:
     ])
     def test_products_match_scipy_bit_for_bit(self, chain):
         h = lattice.build_hamiltonian(chain)
+        operator = lattice._CsrOperator(h)
         dim = h.shape[0]
         x = np.random.default_rng(chain.length).normal(size=dim)
         # the product zeroes what it writes into
         out = np.full(dim, np.nan)
-        assert lattice._matvec(h, x, out) is out
+        assert operator.apply(x, out) is out
         assert np.array_equal(out, h @ x)
         ones = np.ones(dim)
-        sums = lattice._matvec(h, ones, np.full(dim, np.nan), data=np.abs(h.data))
+        sums = operator.apply(ones, np.full(dim, np.nan), data=np.abs(h.data))
         assert np.array_equal(sums, abs(h) @ ones)
         diag = h.diagonal()
         radius = abs(h) @ ones - np.abs(diag)
-        assert lattice._gershgorin_interval(h) == (float((diag - radius).min()),
-                                                   float((diag + radius).max()))
+        assert operator.interval == (float((diag - radius).min()),
+                                     float((diag + radius).max()))
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+    def test_adapter_presents_the_matrix_it_wraps(self, fmt):
+        # the dense path reads toarray, the residual check reads @
+        h = lattice.build_hamiltonian(lattice.ChainSpec(6, 3, 2, t_hop=0.7, u=4.0, v=1.0))
+        operator = lattice._CsrOperator(h.asformat(fmt))
+        assert (operator.shape, operator.dtype) == (h.shape, h.dtype)
+        x = np.random.default_rng(6).normal(size=h.shape[0])
+        assert np.array_equal(operator @ x, h @ x)
+        assert np.array_equal(operator.apply(x, np.empty_like(x)), h @ x)
+        assert np.array_equal(operator.toarray(), h.toarray())
 
     def test_other_sparse_formats_solve_as_csr(self):
         h = lattice.build_hamiltonian(lattice.ChainSpec(6, 3, 3, u=4.0, v=1.0))

@@ -430,7 +430,7 @@ def test_sector_operator_matches_the_csr_hamiltonian(chain, seed):
     assert operator.apply(x, out) is out
     assert np.abs(out - h @ x).max() <= 1e-14 * norm
     assert np.array_equal(operator @ x, out)
-    csr_low, csr_high = lattice._gershgorin_interval(h)
+    csr_low, csr_high = lattice._CsrOperator(h).interval
     assert abs(low - csr_low) <= 1e-14 * norm and abs(high - csr_high) <= 1e-14 * norm
     if h.shape[0] <= 1000:
         # the dense path diagonalizes the CSR matrix's dense form, zero signs included
