@@ -55,7 +55,9 @@ MAX_HAMILTONIAN_BYTES = 512 * 2**20
 LANCZOS_BASIS_BYTES = 16 * 2**20
 #: Sector vectors a matrix-free Lanczos solve holds besides its Krylov block,
 #: at its peak (the Ritz sum): the start vector, the Ritz sum and its three
-#: rebuild vectors, and the operator's diagonal and two buffers.
+#: rebuild vectors, and the operator's diagonal and two buffers.  The even
+#: run adds none: its start is made in the block's first row and its product
+#: uses one of the two buffers.
 SOLVE_VECTORS = 8
 DENSE_CUTOFF = 2000
 DEGENERACY_TOL = 1e-10
@@ -289,11 +291,13 @@ class _SectorOperator:
     :func:`build_hamiltonian`, applied without it.  The hoppings depend on the
     chain's geometry and ``t_hop`` only, so :meth:`at` reuses them, and the
     buffers, for another ``(U, V)``.  :func:`ground_state` solves through
-    ``apply`` and ``interval``; like a matrix the operator also has
-    ``shape``, ``dtype``, ``@`` and ``toarray``, which is
-    ``build_hamiltonian(...).toarray()`` bit for bit.  Refuses, before any
-    sector-sized allocation, a sector whose Lanczos solve would hold more
-    than :data:`MAX_HAMILTONIAN_BYTES` of vectors.
+    ``apply`` and ``interval``, and, when ``spin_flip`` holds
+    (``n_up == n_dn``), through ``apply_even`` in the spin-flip-even sector
+    ``X = X^T``; like a matrix the operator also has ``shape``, ``dtype``,
+    ``@`` and ``toarray``, which is ``build_hamiltonian(...).toarray()`` bit
+    for bit.  Refuses, before any sector-sized allocation, a sector whose
+    Lanczos solve would hold more than :data:`MAX_HAMILTONIAN_BYTES` of
+    vectors.
     """
 
     dtype = np.dtype(np.float64)
@@ -316,6 +320,10 @@ class _SectorOperator:
         self._n = n_up, n_dn
         self._t_hop = chain.t_hop
         self._up, self._dn = ((k.indptr, k.indices, -chain.t_hop * k.data) for k in (k_up, k_dn))
+        #: both species share one hopping, and spin flip is the transpose of ``X``
+        self.spin_flip = chain.n_up == chain.n_dn
+        #: no hopping, so the unit vectors are eigenvectors
+        self.is_diagonal = chain.t_hop == 0.0
         self._degrees = np.diff(k_up.indptr), np.diff(k_dn.indptr)
         self._occupancy = _float_occupancy(basis)
         # the transposed input and the transposed diagonal and down hoppings' term
@@ -367,6 +375,26 @@ class _SectorOperator:
         csr_matvecs(n_up, n_up, n_dn, *self._up, x, out)
         return out
 
+    def apply_even(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``H x`` into ``out`` for a spin-flip-even ``x`` (``X = X^T``), with one kernel call.
+
+        With one hopping ``K`` and ``D = D^T`` (``spin_flip``), ``H X = Z +
+        Z^T`` for ``Z = D o X / 2 - t K X``.  A buffer receives ``Z``, the
+        halved diagonal term and then one kernel call, and ``out`` the sum of
+        ``Z`` and its transpose: symmetric bit for bit, so a run started in
+        the sector stays there without projection.  Equal to :meth:`apply` on
+        such an ``x`` up to rounding.  ``x`` and ``out`` are distinct
+        contiguous float64 sector vectors.
+        """
+        n = self._n[0]
+        z = self._yt
+        # D is symmetric, so its stored transpose is D
+        np.multiply(self._diag_t, x.reshape(n, n), out=z)
+        z *= 0.5
+        csr_matvecs(n, n, n, *self._up, x, z)
+        np.add(z, z.T, out=out.reshape(n, n))
+        return out
+
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.apply(np.ascontiguousarray(x, dtype=np.float64).reshape(-1),
                           np.empty(self.shape[0]))
@@ -398,12 +426,17 @@ class _CsrOperator:
     Gershgorin discs.
     """
 
+    #: a matrix carries no spin-flip symmetry: its solves stay in the full space
+    spin_flip = False
+
     def __init__(self, matrix: sparse.spmatrix):
         self._matrix = matrix = matrix.tocsr()
         self.shape, self.dtype = matrix.shape, matrix.dtype
         dim, diag = self.shape[0], matrix.diagonal()
         radius = self.apply(np.ones(dim), np.empty(dim), np.abs(matrix.data)) - np.abs(diag)
         self.interval = float((diag - radius).min()), float((diag + radius).max())
+        #: no off-diagonal entry, so the unit vectors are eigenvectors
+        self.is_diagonal = not radius.any()
 
     def apply(self, x: np.ndarray, out: np.ndarray, data: np.ndarray | None = None) -> np.ndarray:
         """``H x`` into ``out``, with ``data`` in place of the stored values if given."""
@@ -425,10 +458,11 @@ class GroundState:
 
     ``multiplet`` holds every computed eigenvector within the degeneracy
     tolerance of the lowest energy (the ground vector first).  ``matvecs``
-    counts the sparse products the iterative solver spent: the ground run's
-    steps, the steps its Ritz vector rebuilds past the kept Lanczos block
-    (none when the block holds the whole run), the gap run's steps and any
-    ARPACK products (0 on the dense path; the residual check is not counted).
+    counts the operator products the iterative solver spent, spin-flip-even
+    and full-space alike: the ground run's steps, the steps its Ritz vector
+    rebuilds past the kept Lanczos block (none when the block holds the whole
+    run), the gap run's steps and any ARPACK products (0 on the dense path;
+    the residual check is not counted).
 
     The degeneracy rule: ``energy_gap`` is ``E1 - E0`` for the lowest level
     ``E1`` that has an eigenvector orthogonal to ``amplitudes``, so a
@@ -460,7 +494,8 @@ class GroundState:
 
 def _lowest_eigenpairs(hamiltonian: _SectorOperator | _CsrOperator, k: int, v0: np.ndarray):
     """The ``k`` lowest eigenpairs by ARPACK, in ascending order, and its matvec count."""
-    # only a degenerate ground state gets here: the other solves skip the import
+    # only a degenerate or spin-flip-odd ground state gets here: the other
+    # solves skip the import
     import scipy.sparse.linalg as sparse_linalg
 
     matvecs = 0
@@ -476,6 +511,10 @@ def _lowest_eigenpairs(hamiltonian: _SectorOperator | _CsrOperator, k: int, v0: 
         energies, vectors = sparse_linalg.eigsh(operator, k=k, which="SA", v0=v0)
     except sparse_linalg.ArpackNoConvergence as exc:
         raise OrbentError(f"eigensolver did not converge: {exc}") from exc
+    except sparse_linalg.ArpackError as exc:
+        # a nearly diagonal operator (t_hop tiny against U and V), for one,
+        # closes ARPACK's Krylov space before it can restart
+        raise OrbentError(f"eigensolver failed on the degenerate ground level: {exc}") from exc
     order = np.argsort(energies)
     return energies[order], vectors[:, order], matvecs
 
@@ -518,20 +557,16 @@ def _lanczos_lowest(apply, start: np.ndarray, tol: float, norm: float,
     rounding-level ``beta`` means the Krylov space has closed: it bounds every
     Ritz residual, so the run ends there and never divides by it.
     ``apply(x, out)`` writes the product into ``out``.  Row ``k`` of
-    ``krylov``, a ``(rows, dim)`` block, receives the ``k``-th normalized
-    Lanczos vector (row 0 the start) while ``k < rows``: the product is made
-    in that row and normalized there.  Later steps rotate through three
+    ``krylov``, a ``(rows, dim)`` block whose row 0 is ``start``, receives
+    the ``k``-th normalized Lanczos vector while ``k < rows``: the product is
+    made in that row and normalized there.  Later steps rotate through three
     vectors of their own.  Returns the Ritz value, its coordinates ``s`` in
     the Lanczos basis and the ``alpha`` and ``beta`` that rebuild the vectors
     past the block.
     """
     tol = max(tol, ROUNDING_RITZ * norm)
     floor = max(tol, BREAKDOWN_TOL * norm)
-    rows = 0
-    if krylov is not None:
-        rows = len(krylov)
-        krylov[0] = start
-        start = krylov[0]
+    rows = 0 if krylov is None else len(krylov)
     spare = [np.empty_like(start) for _ in range(3)]
     alphas, betas = [], []
     q, q_prev, beta = start, start, 0.0
@@ -586,23 +621,31 @@ def ground_state(hamiltonian: sparse.spmatrix | _SectorOperator, *, seed: int = 
     block of at most ``LANCZOS_BASIS_BYTES`` (every step of an L = 8 chain,
     33 of an L = 10 one) and sums its Ritz vector from them; the steps past
     the block are rebuilt by the recurrence from its last two rows, which
-    repeats their products and gives the same bits.  The gap comes from a
-    one-pass run from an independent seeded start on ``H + s psi psi^T``,
-    where ``s`` is a Gershgorin bound of the spectral width: the shift lifts
-    ``psi`` above the spectrum and leaves every other level, so the lowest
-    Ritz value of that run, to a residual of ``GAP_RITZ_TOL``, is ``E1``.  A
-    degenerate partner of ``psi`` stays at ``E0`` there.  When ``E1 - E0 <
-    DEGENERACY_TOL``, ARPACK solves for the ``min(6, dim - 1)`` lowest pairs
-    from the first start vector, so that ``multiplet`` holds the whole
-    multiplet; a single Lanczos vector cannot.  A sector of at most seven
-    states, where those ``dim - 1`` pairs could miss a multiplet that fills
-    it, is solved densely instead.
+    repeats their products and gives the same bits.  For an operator with
+    ``spin_flip`` (``n_up == n_dn``), the run and the rebuild stay in the
+    spin-flip-even sector, which holds the singlet ground states: they start
+    from the even part of the seeded start and make each product with
+    ``apply_even``, one kernel call instead of two.  The gap comes from a
+    one-pass run, in the full space, from an independent seeded start on
+    ``H + s psi psi^T``, where ``s`` is a Gershgorin bound of the spectral
+    width: the shift lifts ``psi`` above the spectrum and leaves every other
+    level, so the lowest Ritz value of that run, to a residual of
+    ``GAP_RITZ_TOL``, is ``E1``.  A degenerate partner of ``psi``, odd ones
+    included, stays at ``E0`` there.  When ``E1 - E0 < DEGENERACY_TOL``,
+    ARPACK solves for the ``min(6, dim - 1)`` lowest pairs from the full
+    first start vector, so that ``multiplet`` holds the whole multiplet; a
+    single Lanczos vector cannot.  A spin-flip-odd ground state takes the
+    same path: the gap run finds it below the even run's level.  A sector of
+    at most seven states, where those ``dim - 1`` pairs could miss a
+    multiplet that fills it, is solved densely instead, and a diagonal
+    operator (``is_diagonal``: ``t_hop = 0``) gives its lowest unit vectors.
 
     ``hamiltonian`` is a :class:`_SectorOperator` or a real symmetric sparse
     matrix, which is wrapped in a :class:`_CsrOperator`: one path serves
-    both.  Every product the runs make is the operator's ``apply`` into a
-    vector the run owns, the solver's norm bounds come from its Gershgorin
-    ``interval``, and the dense path diagonalizes its ``toarray``.
+    both.  Every product the runs make is the operator's ``apply`` (or
+    ``apply_even``) into a vector the run owns, the solver's norm bounds come
+    from its Gershgorin ``interval``, and the dense path diagonalizes its
+    ``toarray``.  The residual check is one full-space product.
     """
     if not isinstance(hamiltonian, _SectorOperator):
         hamiltonian = _CsrOperator(hamiltonian)
@@ -617,15 +660,29 @@ def ground_state(hamiltonian: sparse.spmatrix | _SectorOperator, *, seed: int = 
         low, high = hamiltonian.interval
         norm, width = max(-low, high), high - low
 
-        def apply(x, out):
-            nonlocal matvecs
-            matvecs += 1
-            return hamiltonian.apply(x, out)
+        def counted(product):
+            def apply(x, out):
+                nonlocal matvecs
+                matvecs += 1
+                return product(x, out)
 
+            return apply
+
+        apply = ground_apply = counted(hamiltonian.apply)
         krylov = np.empty((_krylov_rows(dim), dim))
-        e0, s, alphas, betas = _lanczos_lowest(apply, v0, GROUND_RITZ_TOL, norm, krylov)
-        psi = _ritz_vector(apply, krylov, s, alphas, betas)
-        del krylov  # freed before the gap run, which keeps no basis
+        start = krylov[0]
+        if hamiltonian.spin_flip:
+            # the even part X + X^T of v0, normalized
+            n = math.isqrt(dim)
+            x = v0.reshape(n, n)
+            np.add(x, x.T, out=start.reshape(n, n))
+            start /= np.linalg.norm(start)
+            ground_apply = counted(hamiltonian.apply_even)
+        else:
+            start[:] = v0
+        e0, s, alphas, betas = _lanczos_lowest(ground_apply, start, GROUND_RITZ_TOL, norm, krylov)
+        psi = _ritz_vector(ground_apply, krylov, s, alphas, betas)
+        del krylov, start  # freed before the gap run, which keeps no basis
         psi /= np.linalg.norm(psi)
         e1 = math.inf
         if dim > 1:
@@ -637,13 +694,30 @@ def ground_state(hamiltonian: sparse.spmatrix | _SectorOperator, *, seed: int = 
 
             e1 = _lanczos_lowest(apply_deflated, v1, GAP_RITZ_TOL, norm + width)[0]
         energies, vectors = np.array([e0, e1]), psi[:, None]
+        # a spin-flip-odd ground state lands here too: the gap run finds it
+        # below the even run's level
         if e1 - e0 < DEGENERACY_TOL:
             if dim <= 7:
                 # ARPACK's k = dim - 1 pairs cannot hold a multiplet that fills the sector
                 energies, vectors = np.linalg.eigh(hamiltonian.toarray())
+            elif hamiltonian.is_diagonal:
+                # t = 0: the unit vectors are eigenvectors.  From one start,
+                # ARPACK's Krylov space closes at one vector per distinct
+                # level, and it returned a higher level as the lowest here
+                diagonal = hamiltonian @ np.ones(dim)
+                lowest = np.argsort(diagonal, kind="stable")[:min(6, dim - 1)]
+                energies, vectors = diagonal[lowest], np.zeros((dim, len(lowest)))
+                vectors[lowest, np.arange(len(lowest))] = 1.0
             else:
                 energies, vectors, arpack = _lowest_eigenpairs(hamiltonian, min(6, dim - 1), v0)
                 matvecs += arpack
+                # both Ritz values bound E0 from above; so does ARPACK's lowest
+                # level unless its Krylov space closed before reaching E0's
+                # (a nearly diagonal operator, t_hop tiny against U and V)
+                if energies[0] - min(e0, e1) > max(DEGENERACY_TOL, RESIDUAL_ROUNDING * norm):
+                    raise OrbentError(
+                        f"eigensolver missed the ground level: ARPACK's lowest level "
+                        f"{energies[0]:.12g} lies above the Lanczos level {min(e0, e1):.12g}")
 
     e0 = float(energies[0])
     psi = vectors[:, 0] / np.linalg.norm(vectors[:, 0])

@@ -95,6 +95,21 @@ class TestFormulaCommand:
             assert code == cli.EXIT_USAGE
             assert "non-finite" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "the top level must be a JSON object, got list"),
+        ('{"dim": 16, "basis": "occupation-A↑A↓B↑B↓"}', "missing field 're'"),
+        ('{"dim": 16, "basis": "occupation-A↑A↓B↑B↓", "re": [[1e400]]}',
+         "field 're' must hold 16 rows of 16 numbers, got shape (1, 1)"),
+        ('{"dim": 16, "basis": "occupation-A↑A↓B↑B↓", "re": [[1' + "0" * 400 + ']]}',
+         "field 're' must hold 16 rows of 16 numbers: int too large to convert to float"),
+    ])
+    def test_malformed_documents_are_usage_errors(self, text, message, tmp_path, capsys):
+        path = tmp_path / "malformed.json"
+        path.write_text(text, encoding="utf-8")
+        for command in ("formula", "inspect", "oracle-verify"):
+            code, out, err = run([command, str(path)], capsys)
+            assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: {message}\n")
+
     def test_twirl_coherence_flag(self, tmp_path, capsys):
         basis = fock.build_symmetry_basis("number")
         weights = np.zeros(16)
@@ -306,6 +321,18 @@ class TestScanCommands:
         assert re.fullmatch(r"error: eigensolver residual \S+ too large: these couplings put the "
                             r"1e-08 residual certificate out of reach, below rounding at the "
                             rf"Hamiltonian's Gershgorin norm bound {re.escape(norm)}\n", err)
+
+    def test_zero_operator_is_refused_as_degenerate_at_every_length(self, capsys):
+        # t = U = V = 0 is the zero operator: dense at L=4, a zero-width
+        # Gershgorin interval above the dense cutoff
+        refusals = []
+        for length in ("4", "6", "8"):
+            code, out, err = run(["ehm-scan", "--L", length, "--U", "0", "--V", "0",
+                                  "--t-hop", "0"], capsys)
+            assert code == cli.EXIT_FAILURE and out == ""
+            refusals.append(err)
+        assert refusals[0].startswith("error: ground state is degenerate: its energy gap 0.000e+00")
+        assert refusals == refusals[:1] * 3
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     @pytest.mark.parametrize("argv", [

@@ -434,6 +434,35 @@ class TestLanczosSolver:
         overlaps = np.array([[v @ w for w in gs.multiplet] for v in gs.multiplet])
         assert np.abs(overlaps - np.eye(dim)).max() < 1e-12
 
+    @pytest.mark.parametrize("matrix_free", [False, True])
+    def test_diagonal_operator_gives_its_lowest_unit_vectors(self, matrix_free, monkeypatch):
+        # t = 0: from one start, ARPACK returned a higher level as the lowest
+        def refuse(*args, **kwargs):
+            raise AssertionError("ARPACK ran on a diagonal operator")
+
+        monkeypatch.setattr(lattice, "_lowest_eigenpairs", refuse)
+        chain = lattice.ChainSpec(6, 3, 3, t_hop=0.0, u=2.0, v=1.0)
+        h = lattice._SectorOperator(chain) if matrix_free else lattice.build_hamiltonian(chain)
+        diagonal = h @ np.ones(h.shape[0])
+        gs = lattice.ground_state(h, dense_cutoff=0)
+        assert gs.energy == diagonal.min() == 5.0
+        assert gs.degenerate and gs.energy_gap == 0.0 and len(gs.multiplet) == 6
+        for v in gs.multiplet:
+            assert np.count_nonzero(v) == 1 and diagonal[np.argmax(v)] == 5.0 and v.max() == 1.0
+
+    @pytest.mark.parametrize("chain, message", [
+        # ARPACK's Krylov space closes before it reaches the ground level 0
+        (lattice.ChainSpec(6, 3, 3, t_hop=1e-160, v=1.0),
+         "^eigensolver missed the ground level: ARPACK's lowest level 1 lies above "
+         "the Lanczos level "),
+        (lattice.ChainSpec(4, 2, 2, t_hop=1e-160, u=2.0, boundary="periodic"),
+         "^eigensolver failed on the degenerate ground level: ARPACK error 3: "),
+    ])
+    def test_arpack_failures_are_refused(self, chain, message):
+        # t = 1e-160 leaves the operator diagonal to rounding, but not flagged so
+        with pytest.raises(OrbentError, match=message):
+            lattice.ground_state(lattice._SectorOperator(chain), dense_cutoff=0)
+
     def test_interacting_l4_ring_stops_where_its_krylov_space_closes(self, run_steps):
         # the ring's symmetries keep the ground run in fewer levels than the
         # 36 states; it ends at the closing beta (about 2e-11 times the norm)
@@ -548,19 +577,83 @@ class TestSectorOperator:
         for v in gs.multiplet:
             assert np.linalg.norm(h @ v - gs.energy * v) < lattice.RESIDUAL_TOL
 
+    @staticmethod
+    def count_products(operator, monkeypatch):
+        """Products by kind, full-space and spin-flip-even, as the operator makes them."""
+        products = {"apply": 0, "apply_even": 0}
+        for name in products:
+            product = getattr(operator, name)
+
+            def counted(x, out, name=name, product=product):
+                products[name] += 1
+                return product(x, out)
+
+            monkeypatch.setattr(operator, name, counted)
+        return products
+
     def test_matvecs_count_operator_products(self, monkeypatch):
         operator = lattice._SectorOperator(lattice.ChainSpec(8, 4, 4, u=6.0, v=3.0))
-        products = []
-        apply = operator.apply
-
-        def counted(x, out):
-            products.append(1)
-            return apply(x, out)
-
-        monkeypatch.setattr(operator, "apply", counted)
+        products = self.count_products(operator, monkeypatch)
         gs = lattice.ground_state(operator)
         # every product but the residual check's
-        assert gs.matvecs == len(products) - 1 > 0
+        assert gs.matvecs == sum(products.values()) - 1 > 0
+
+    def test_even_ground_run_spends_fewer_products(self, monkeypatch):
+        # the ground run and its Ritz sum stay in the spin-flip-even sector;
+        # the gap run and the residual check are full-space products
+        chain = lattice.ChainSpec(8, 4, 4, u=6.0, v=3.0)
+        steps = []
+        run = lattice._lanczos_lowest
+
+        def recorded(*args):
+            result = run(*args)
+            steps.append(len(result[2]))
+            return result
+
+        monkeypatch.setattr(lattice, "_lanczos_lowest", recorded)
+        reference = lattice.ground_state(lattice.build_hamiltonian(chain))
+        full_ground, full_gap = steps
+        steps.clear()
+        operator = lattice._SectorOperator(chain)
+        products = self.count_products(operator, monkeypatch)
+        gs = lattice.ground_state(operator)
+        ground, gap = steps
+        assert products == {"apply_even": ground, "apply": gap + 1}
+        assert ground <= 80 < full_ground and gap == full_gap
+        assert gs.matvecs == ground + gap <= 170 < reference.matvecs
+        n = operator._n[0]
+        assert np.array_equal(gs.amplitudes.reshape(n, n), gs.amplitudes.reshape(n, n).T)
+
+    @pytest.mark.parametrize("chain, even_level", [
+        # dim 225: the lowest even level is -4.420, the odd ground state 0.278 below
+        (lattice.ChainSpec(6, 2, 2, u=4.0, boundary="periodic"), -4.42014294995393),
+        # dim 9: E0 = 2 is odd, the lowest even level is 2.6277
+        (lattice.ChainSpec(3, 2, 2, u=4.0, boundary="periodic"), 2.627718676730984),
+    ])
+    def test_odd_ground_state_takes_the_degenerate_branch(self, chain, even_level, monkeypatch):
+        levels = []
+        run = lattice._lanczos_lowest
+
+        def recorded(*args):
+            result = run(*args)
+            levels.append(result[0])
+            return result
+
+        operator = lattice._SectorOperator(chain)
+        dense = lattice.ground_state(operator, dense_cutoff=10**6)
+        monkeypatch.setattr(lattice, "_lanczos_lowest", recorded)
+        gs = lattice.ground_state(operator, dense_cutoff=0)
+        # the even run, then the gap run below it, which sends the solve to ARPACK
+        assert len(levels) == 2
+        assert levels[0] == pytest.approx(even_level, abs=1e-10)
+        assert levels[1] < levels[0] - lattice.DEGENERACY_TOL
+        assert gs.energy == pytest.approx(dense.energy, abs=1e-11)
+        assert gs.energy_gap == pytest.approx(dense.energy_gap, abs=1e-9)
+        assert not gs.degenerate and not dense.degenerate
+        assert gs.residual < 1e-12
+        n = operator._n[0]
+        odd = gs.amplitudes.reshape(n, n)
+        assert np.abs(odd + odd.T).max() < 1e-10
 
     def test_a_new_point_keeps_the_hoppings_and_moves_the_diagonal(self):
         chain = lattice.ChainSpec(6, 3, 2, t_hop=0.7, u=1.0, v=0.5, boundary="periodic")

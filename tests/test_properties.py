@@ -5,14 +5,16 @@ oracle's certify-or-refuse contract on arbitrary sectors, the simplex guard
 of the general sector solution and its refusal of a rounding-level closest
 weight, the state-file round trip and its rejection of malformed input, and
 the Lanczos ground state against dense diagonalization on small chains, the
-sector Hamiltonian's assembly against its Kronecker-sum construction, and the
-matrix-free sector operator against that matrix.
+sector Hamiltonian's assembly against its Kronecker-sum construction, the
+matrix-free sector operator against that matrix, and its spin-flip-even
+product and solve against the full-space ones.
 Derandomized, so every run draws the same examples."""
 
 import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -435,3 +437,60 @@ def test_sector_operator_matches_the_csr_hamiltonian(chain, seed):
     if h.shape[0] <= 1000:
         # the dense path diagonalizes the CSR matrix's dense form, zero signs included
         assert operator.toarray().tobytes() == h.toarray().tobytes()
+
+
+@st.composite
+def spin_flip_chains(draw, max_length=8):
+    """Chains with ``n_up == n_dn``, whose operator has the spin-flip-even product."""
+    length = draw(st.integers(2, max_length))
+    filling = draw(st.integers(0, length))
+    coupling = st.one_of(st.just(0.0), st.floats(-8.0, 8.0))
+    return lattice.ChainSpec(
+        length, filling, filling,
+        t_hop=draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0))),
+        u=draw(coupling), v=draw(coupling),
+        boundary=draw(st.sampled_from(["open", "periodic"])),
+    )
+
+
+@PROPERTY
+@given(chain=spin_flip_chains(), seed=st.integers(0, 2**32 - 1))
+def test_even_product_matches_the_full_product(chain, seed):
+    operator = lattice._SectorOperator(chain)
+    assert operator.spin_flip
+    n = math.isqrt(operator.shape[0])
+    low, high = operator.interval
+    norm = max(-low, high)
+    a = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, n))
+    x = ((a + a.T) / 2.0).ravel()
+    out = np.full(n * n, np.nan)
+    assert operator.apply_even(x, out) is out
+    # halving a subnormal diagonal term rounds in steps of the smallest subnormal
+    tiny = np.finfo(float).smallest_subnormal
+    assert np.abs(out - operator.apply(x, np.empty_like(x))).max() <= 1e-12 * norm + 4 * tiny
+    # a sum and its own transpose: the product never leaves the even sector
+    product = out.reshape(n, n)
+    assert np.array_equal(product, product.T)
+
+
+@PROPERTY
+@given(chain=spin_flip_chains(max_length=6))
+def test_even_run_solve_matches_dense(chain):
+    # the even run, the degenerate branch (odd ground states included) and
+    # the diagonal operators of t_hop = 0 alike
+    operator = lattice._SectorOperator(chain)
+    levels = np.linalg.eigvalsh(operator.toarray())
+    try:
+        gs = lattice.ground_state(operator, dense_cutoff=0)
+    except OrbentError as exc:
+        # ARPACK, which only a degenerate level reaches, can stall or miss the
+        # ground level on a nearly diagonal operator (t_hop tiny against U and
+        # V): its typed refusals, never a wrong level
+        assert re.match("eigensolver (did not converge|failed on|missed)", str(exc))
+        assert levels[1] - levels[0] < lattice.DEGENERACY_TOL
+        return
+    norm = max(-operator.interval[0], operator.interval[1])
+    assert abs(gs.energy - levels[0]) <= 1e-10 * max(1.0, norm)
+    dense_gap = levels[1] - levels[0] if len(levels) > 1 else math.inf
+    if dense_gap > 1e-6 or dense_gap < 1e-12:
+        assert gs.degenerate == (dense_gap < lattice.DEGENERACY_TOL)

@@ -58,3 +58,75 @@ class TestValidation:
         data["im"][2][5] = value
         with pytest.raises(ValueError, match="non-finite"):
             stateio.state_from_dict(data)
+
+
+class TestDocumentShape:
+    """Malformed documents are refused with a ``ValueError`` that names the field."""
+
+    @staticmethod
+    def document():
+        return stateio.state_to_dict(fock.maximally_mixed_state())
+
+    @pytest.mark.parametrize("top", [[], [1, 2], "state", 3.0, None])
+    def test_top_level_must_be_an_object(self, top):
+        with pytest.raises(ValueError, match="^the top level must be a JSON object, got "):
+            stateio.state_from_dict(top)
+
+    def test_missing_real_part_is_named(self):
+        data = self.document()
+        del data["re"]
+        with pytest.raises(ValueError, match="^missing field 're'$"):
+            stateio.state_from_dict(data)
+
+    @pytest.mark.parametrize("key", ["re", "im"])
+    def test_ragged_rows_are_named(self, key):
+        data = self.document()
+        data[key][3] = data[key][3][:15]
+        with pytest.raises(ValueError, match=f"^field '{key}' must hold 16 rows of 16 numbers"):
+            stateio.state_from_dict(data)
+
+    @pytest.mark.parametrize("entry", ["0.5", "a", None, {}, [0.0]])
+    def test_non_numeric_entries_are_named(self, entry):
+        data = self.document()
+        data["re"][2][7] = entry
+        with pytest.raises(ValueError, match="^field 're' must hold 16 rows of 16 numbers"):
+            stateio.state_from_dict(data)
+
+    def test_integer_beyond_the_float_range_is_named(self):
+        data = self.document()
+        data["im"][0][1] = 10**400
+        with pytest.raises(ValueError, match="^field 'im' must hold 16 rows of 16 numbers: "
+                                             "int too large to convert to float$"):
+            stateio.state_from_dict(data)
+
+    def test_integer_entries_load(self):
+        data = self.document()
+        data["re"] = np.diag([1] + [0] * 15).tolist()
+        del data["im"]
+        loaded = stateio.state_from_dict(data)
+        assert loaded.matrix[0, 0] == 1.0 and np.trace(loaded.matrix) == 1.0
+        # entries all in [2**63, 2**64) make numpy read the field as uint64:
+        # still numbers, refused only by the state's own trace check
+        data["re"] = [[2**63] * 16 for _ in range(16)]
+        with pytest.raises(ValueError, match="^matrix does not have unit trace$"):
+            stateio.state_from_dict(data)
+
+    # warnings are errors here: an overflow on the way would fail the test
+    def test_diagonal_near_the_float_limit_fails_the_trace_check(self):
+        data = self.document()
+        data["re"] = (np.eye(16) * 1e308).tolist()
+        with pytest.raises(ValueError, match="^matrix does not have unit trace$"):
+            stateio.state_from_dict(data)
+
+    def test_overflowing_trace_sum_is_not_a_unit_trace(self):
+        # the pairwise sum reads inf - inf = NaN, which no tolerance holds
+        data = self.document()
+        data["re"] = np.diag([1e308, 1e308, -1e308, -1e308] + [0.0] * 12).tolist()
+        with pytest.raises(ValueError, match="^matrix does not have unit trace$"):
+            stateio.state_from_dict(data)
+
+    def test_antisymmetric_pair_near_the_float_limit_is_not_hermitian(self):
+        data = self.document()
+        data["re"][0][1], data["re"][1][0] = 1e308, -1e308
+        with pytest.raises(ValueError, match="^matrix is not Hermitian within tolerance$"):
+            stateio.state_from_dict(data)
