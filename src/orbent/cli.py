@@ -246,8 +246,8 @@ def cmd_lmin(args: argparse.Namespace) -> int:
 
 
 def cmd_ehm_scan(args: argparse.Namespace) -> int:
-    # the ED stack loads scipy.sparse and scipy.linalg (Lanczos, and ARPACK for a
-    # degenerate ground state): only its commands pay
+    # the ED stack loads scipy.sparse and scipy.linalg (the Lanczos runs' kernel,
+    # LAPACK and BLAS): only its commands pay
     from . import lattice
 
     units, scale = _unit_scale(args)

@@ -48,16 +48,16 @@ MAX_SITES = 14
 #: Largest sector Hamiltonian, in stored CSR bytes, that a build may start
 #: (the Kronecker build peaks at about 2.2 times this: 285 MiB above the
 #: process's baseline for the 130 MiB matrix of L = 12, measured), and
-#: largest set of sector vectors a matrix-free solve may hold.
+#: largest set of sector vectors a solve may hold, its multiplet included.
 MAX_HAMILTONIAN_BYTES = 512 * 2**20
 #: Bytes of Lanczos vectors a ground run keeps for its Ritz vector, in one
 #: block; the steps past it are rebuilt by the three-term recurrence.
 LANCZOS_BASIS_BYTES = 16 * 2**20
-#: Sector vectors a matrix-free Lanczos solve holds besides its Krylov block,
-#: at its peak (the Ritz sum): the start vector, the Ritz sum and its three
-#: rebuild vectors, and the operator's diagonal and two buffers.  The even
-#: run adds none: its start is made in the block's first row and its product
-#: uses one of the two buffers.
+#: Sector vectors a matrix-free Lanczos solve holds besides its Krylov block
+#: and its multiplet, at its peak (the Ritz sum): the start vector, the Ritz
+#: sum and its three rebuild vectors, and the operator's diagonal and two
+#: buffers.  The even run adds none: its start is made in the block's first
+#: row and its product uses one of the two buffers.
 SOLVE_VECTORS = 8
 DENSE_CUTOFF = 2000
 DEGENERACY_TOL = 1e-10
@@ -281,6 +281,15 @@ def _krylov_rows(dim: int) -> int:
     return max(1, min(LANCZOS_MAX_STEPS, LANCZOS_BASIS_BYTES // (8 * dim)))
 
 
+def _check_vectors(dim: int, members: int, subject: str) -> None:
+    """Refuse, by ``subject``, a solve whose Krylov block, ``SOLVE_VECTORS`` and
+    ``members`` multiplet vectors would exceed :data:`MAX_HAMILTONIAN_BYTES`."""
+    vectors = _krylov_rows(dim) + SOLVE_VECTORS + members
+    if 8 * dim * vectors > MAX_HAMILTONIAN_BYTES:
+        raise OrbentError(f"{subject} needs {vectors} vectors in {8 * dim * vectors / 2**20:.0f} "
+                          f"MiB to solve, above the {MAX_HAMILTONIAN_BYTES / 2**20:.0f} MiB limit")
+
+
 class _SectorOperator:
     """The sector Hamiltonian as ``H X = -t (K_up X + X K_dn^T) + D o X``, with no matrix.
 
@@ -308,14 +317,7 @@ class _SectorOperator:
         k_up, k_dn = _sector_hoppings(chain, basis)
         n_up, n_dn = k_up.shape[0], k_dn.shape[0]
         dim = n_up * n_dn
-        vectors = _krylov_rows(dim) + SOLVE_VECTORS
-        if 8 * dim * vectors > MAX_HAMILTONIAN_BYTES:
-            nnz = _hamiltonian_size(k_up, k_dn)[0]
-            raise OrbentError(
-                f"sector of {dim} states ({nnz} nonzeros) needs {vectors} vectors in "
-                f"{8 * dim * vectors / 2**20:.0f} MiB to solve, "
-                f"above the {MAX_HAMILTONIAN_BYTES / 2**20:.0f} MiB limit"
-            )
+        _check_vectors(dim, 0, f"sector of {dim} states ({_hamiltonian_size(k_up, k_dn)[0]} nonzeros)")
         self.shape = (dim, dim)
         self._n = n_up, n_dn
         self._t_hop = chain.t_hop
@@ -456,25 +458,19 @@ class _CsrOperator:
 class GroundState:
     """Lowest eigenpair of a sector Hamiltonian.
 
-    ``multiplet`` holds every computed eigenvector within the degeneracy
-    tolerance of the lowest energy (the ground vector first).  ``matvecs``
-    counts the operator products the iterative solver spent, spin-flip-even
-    and full-space alike: the ground run's steps, the steps its Ritz vector
-    rebuilds past the kept Lanczos block (none when the block holds the whole
-    run), the gap run's steps and any ARPACK products (0 on the dense path;
-    the residual check is not counted).
-
-    The degeneracy rule: ``energy_gap`` is ``E1 - E0`` for the lowest level
-    ``E1`` that has an eigenvector orthogonal to ``amplitudes``, so a
-    degenerate partner gives a gap of zero.  Below ``DEGENERACY_TOL`` the
-    state is ``degenerate`` and ``multiplet`` holds the whole multiplet (up to
-    six vectors; every one in a sector of at most seven states, which is
-    solved densely).  A single-vector Lanczos run sees only one vector of an
-    eigenspace, and its lost orthogonality shows converged levels again as
-    ghost copies, so its tridiagonal can say nothing about multiplicity
-    (Cullum & Willoughby, *Lanczos Algorithms for Large Symmetric Eigenvalue
-    Computations*, 1985).  The gap therefore comes from a separate run on the
-    deflated operator; see :func:`ground_state`.
+    ``multiplet`` holds every eigenvector found within ``DEGENERACY_TOL`` of
+    the lowest energy, the ground vector first; more than one makes the state
+    ``degenerate``.  ``energy_gap`` is ``E1 - E0`` for the lowest level ``E1``
+    that has an eigenvector orthogonal to ``amplitudes``, so a degenerate
+    partner gives a gap of zero.  ``matvecs`` counts the products of the
+    iterative solver's Lanczos runs and of its Ritz rebuilds past the kept
+    Lanczos block, spin-flip-even and full-space alike (0 on the dense path;
+    the residual check is not counted).  A single-vector Lanczos run sees
+    only one vector of an eigenspace, and its lost orthogonality shows
+    converged levels again as ghost copies, so its tridiagonal can say
+    nothing about multiplicity (Cullum & Willoughby, *Lanczos Algorithms for
+    Large Symmetric Eigenvalue Computations*, 1985): the gap and the
+    multiplet come from runs on deflated operators; see :func:`ground_state`.
     """
 
     energy: float
@@ -490,33 +486,6 @@ class GroundState:
             raise ValueError("ground-state amplitudes must be normalized")
         if self.residual > RESIDUAL_TOL:
             raise OrbentError(f"eigensolver residual {self.residual:.3e} too large")
-
-
-def _lowest_eigenpairs(hamiltonian: _SectorOperator | _CsrOperator, k: int, v0: np.ndarray):
-    """The ``k`` lowest eigenpairs by ARPACK, in ascending order, and its matvec count."""
-    # only a degenerate or spin-flip-odd ground state gets here: the other
-    # solves skip the import
-    import scipy.sparse.linalg as sparse_linalg
-
-    matvecs = 0
-
-    def apply(x):
-        nonlocal matvecs
-        matvecs += 1
-        return hamiltonian @ x
-
-    operator = sparse_linalg.LinearOperator(hamiltonian.shape, matvec=apply,
-                                            dtype=hamiltonian.dtype)
-    try:
-        energies, vectors = sparse_linalg.eigsh(operator, k=k, which="SA", v0=v0)
-    except sparse_linalg.ArpackNoConvergence as exc:
-        raise OrbentError(f"eigensolver did not converge: {exc}") from exc
-    except sparse_linalg.ArpackError as exc:
-        # a nearly diagonal operator (t_hop tiny against U and V), for one,
-        # closes ARPACK's Krylov space before it can restart
-        raise OrbentError(f"eigensolver failed on the degenerate ground level: {exc}") from exc
-    order = np.argsort(energies)
-    return energies[order], vectors[:, order], matvecs
 
 
 def _three_term(w, q, q_prev, alpha, beta_prev):
@@ -631,14 +600,19 @@ def ground_state(hamiltonian: sparse.spmatrix | _SectorOperator, *, seed: int = 
     width: the shift lifts ``psi`` above the spectrum and leaves every other
     level, so the lowest Ritz value of that run, to a residual of
     ``GAP_RITZ_TOL``, is ``E1``.  A degenerate partner of ``psi``, odd ones
-    included, stays at ``E0`` there.  When ``E1 - E0 < DEGENERACY_TOL``,
-    ARPACK solves for the ``min(6, dim - 1)`` lowest pairs from the full
-    first start vector, so that ``multiplet`` holds the whole multiplet; a
-    single Lanczos vector cannot.  A spin-flip-odd ground state takes the
-    same path: the gap run finds it below the even run's level.  A sector of
-    at most seven states, where those ``dim - 1`` pairs could miss a
-    multiplet that fills it, is solved densely instead, and a diagonal
-    operator (``is_diagonal``: ``t_hop = 0``) gives its lowest unit vectors.
+    included, stays at ``E0`` there.
+
+    Below ``E1 - E0 = DEGENERACY_TOL + GAP_RITZ_TOL``, which a Ritz value
+    within its residual of a level cannot rule out, partner runs on ``H + s
+    sum v v^T`` over every vector ``v`` found so far settle the verdict: in
+    the full space, from fresh seeded starts, to ``GROUND_RITZ_TOL`` with the
+    ground run's Krylov block and Ritz rebuild.  Each level within
+    ``DEGENERACY_TOL`` of the lowest found adds its Ritz vector,
+    orthogonalized against the others, until a level lies above (``E1``) or
+    the vectors fill the sector; a spin-flip-odd ground state comes out the
+    same way.  A diagonal operator (``is_diagonal``: ``t_hop = 0``) gives the
+    shift no width, so it gives every unit vector at its lowest level
+    instead.  The multiplet counts against ``MAX_HAMILTONIAN_BYTES``.
 
     ``hamiltonian`` is a :class:`_SectorOperator` or a real symmetric sparse
     matrix, which is wrapped in a :class:`_CsrOperator`: one path serves
@@ -652,7 +626,8 @@ def ground_state(hamiltonian: sparse.spmatrix | _SectorOperator, *, seed: int = 
     dim = hamiltonian.shape[0]
     matvecs = 0
     if dim <= dense_cutoff:
-        energies, vectors = np.linalg.eigh(hamiltonian.toarray())
+        levels, vectors = np.linalg.eigh(hamiltonian.toarray())
+        vectors = vectors.T
     else:
         rng = np.random.default_rng(seed)
         v0 = rng.normal(size=dim)
@@ -684,43 +659,53 @@ def ground_state(hamiltonian: sparse.spmatrix | _SectorOperator, *, seed: int = 
         psi = _ritz_vector(ground_apply, krylov, s, alphas, betas)
         del krylov, start  # freed before the gap run, which keeps no basis
         psi /= np.linalg.norm(psi)
-        e1 = math.inf
+        levels, vectors = [e0], [psi]
+
+        def apply_deflated(x, out):
+            apply(x, out)
+            for v in vectors:
+                daxpy(v, out, a=width * ddot(v, x))
+            return out
+
+        level = math.inf
         if dim > 1:
             v1 = rng.normal(size=dim)
             v1 /= np.linalg.norm(v1)
+            level = _lanczos_lowest(apply_deflated, v1, GAP_RITZ_TOL, norm + width)[0]
+        partners = level - e0 < DEGENERACY_TOL + GAP_RITZ_TOL
+        if partners and hamiltonian.is_diagonal:
+            diagonal = hamiltonian @ np.ones(dim)
+            order = np.argsort(diagonal, kind="stable")
+            levels, level = list(diagonal[order]), math.inf
+            members = int(np.count_nonzero(diagonal - levels[0] < DEGENERACY_TOL))
+            _check_vectors(dim, members, f"a ground multiplet of {members} states")
+            vectors = np.zeros((members, dim))
+            vectors[np.arange(members), order[:members]] = 1.0
+        elif partners:
+            krylov = np.empty((_krylov_rows(dim), dim))
+            while len(vectors) < dim:
+                krylov[0] = rng.normal(size=dim)
+                krylov[0] /= np.linalg.norm(krylov[0])
+                level, s, alphas, betas = _lanczos_lowest(apply_deflated, krylov[0],
+                                                          GROUND_RITZ_TOL, norm + width, krylov)
+                if level - min(levels) >= DEGENERACY_TOL:
+                    break
+                _check_vectors(dim, len(vectors) + 1, f"a ground multiplet of over {len(vectors)} states")
+                partner = _ritz_vector(apply_deflated, krylov, s, alphas, betas)
+                for v in vectors:
+                    daxpy(v, partner, a=-ddot(v, partner))
+                partner /= np.linalg.norm(partner)
+                levels.append(level)
+                vectors.append(partner)
+                level = math.inf  # no level above the multiplet found yet
+        levels.append(level)
 
-            def apply_deflated(x, out):
-                return daxpy(psi, apply(x, out), a=width * ddot(psi, x))
-
-            e1 = _lanczos_lowest(apply_deflated, v1, GAP_RITZ_TOL, norm + width)[0]
-        energies, vectors = np.array([e0, e1]), psi[:, None]
-        # a spin-flip-odd ground state lands here too: the gap run finds it
-        # below the even run's level
-        if e1 - e0 < DEGENERACY_TOL:
-            if dim <= 7:
-                # ARPACK's k = dim - 1 pairs cannot hold a multiplet that fills the sector
-                energies, vectors = np.linalg.eigh(hamiltonian.toarray())
-            elif hamiltonian.is_diagonal:
-                # t = 0: the unit vectors are eigenvectors.  From one start,
-                # ARPACK's Krylov space closes at one vector per distinct
-                # level, and it returned a higher level as the lowest here
-                diagonal = hamiltonian @ np.ones(dim)
-                lowest = np.argsort(diagonal, kind="stable")[:min(6, dim - 1)]
-                energies, vectors = diagonal[lowest], np.zeros((dim, len(lowest)))
-                vectors[lowest, np.arange(len(lowest))] = 1.0
-            else:
-                energies, vectors, arpack = _lowest_eigenpairs(hamiltonian, min(6, dim - 1), v0)
-                matvecs += arpack
-                # both Ritz values bound E0 from above; so does ARPACK's lowest
-                # level unless its Krylov space closed before reaching E0's
-                # (a nearly diagonal operator, t_hop tiny against U and V)
-                if energies[0] - min(e0, e1) > max(DEGENERACY_TOL, RESIDUAL_ROUNDING * norm):
-                    raise OrbentError(
-                        f"eigensolver missed the ground level: ARPACK's lowest level "
-                        f"{energies[0]:.12g} lies above the Lanczos level {min(e0, e1):.12g}")
-
-    e0 = float(energies[0])
-    psi = vectors[:, 0] / np.linalg.norm(vectors[:, 0])
+    order = np.argsort(levels, kind="stable")
+    levels = np.asarray(levels)[order]
+    e0 = float(levels[0])
+    members = int(np.count_nonzero(levels - e0 < DEGENERACY_TOL))
+    vectors = [vectors[i] for i in order[:members]]
+    psi = vectors[0] / np.linalg.norm(vectors[0])
     residual = float(np.linalg.norm(hamiltonian @ psi - e0 * psi))
     if residual > RESIDUAL_TOL:
         low, high = hamiltonian.interval
@@ -730,15 +715,15 @@ def ground_state(hamiltonian: sparse.spmatrix | _SectorOperator, *, seed: int = 
                 f"eigensolver residual {residual:.3e} too large: these couplings put the "
                 f"{RESIDUAL_TOL:g} residual certificate out of reach, below rounding at the "
                 f"Hamiltonian's Gershgorin norm bound {norm:.3e}")
-    in_multiplet = np.nonzero(energies - e0 < DEGENERACY_TOL)[0]
-    gap = float(energies[1] - e0) if len(energies) > 1 else math.inf
+    gap = float(levels[1] - e0) if len(levels) > 1 else math.inf
     return GroundState(
         energy=e0,
         amplitudes=psi,
         residual=residual,
-        degenerate=len(in_multiplet) > 1,
+        degenerate=members > 1,
         energy_gap=gap,
-        multiplet=tuple(vectors[:, i] / np.linalg.norm(vectors[:, i]) for i in in_multiplet),
+        # the runs' vectors are unit vectors already; the dense path's columns are copied out
+        multiplet=(psi, *map(np.ascontiguousarray, vectors[1:])),
         matvecs=matvecs,
     )
 

@@ -115,10 +115,28 @@ def _kkt_residual(p, q, w, mu) -> float:
     coordinates, and ``1 + mu * dg/dq_i >= 0`` for coordinates pressed against
     zero.  ``w`` is the solve's own split, which may lie below the resolution
     of the stored ``q_x`` and ``q_y``; the stored pair must reproduce it
-    within 4 ulps of ``q_x``.
+    within the rounding of :func:`_solve_constrained_sector`.
+
+    There ``a/(1+k) - b/e = s delta / ((1+k) e) = 2w`` holds in exact
+    arithmetic, for ``k = r - delta`` and ``e = 2b/s + delta``, so the miss
+    is rounding alone.  To first order in ``eps = 2**-53``, in units of
+    ``eps q_x`` (and ``q_y < q_x``), it is at most:
+
+    - 2 and 1 for the quotients ``q_x = a/(1+k)`` and ``q_y = b/e``;
+    - 5 for the five roundings of ``w = s delta / (2 (1+k) e)``, with
+      ``2w <= q_x``;
+    - 1 for ``q_x - q_y``; the subtraction of ``2w`` from it is exact;
+    - 13 for the stored ``k`` and ``e`` missing ``r - delta`` and
+      ``2b/s + delta``, which moves the pair by ``q_x |dk|/(1+k)`` and
+      ``q_x |de|/e`` at most.  ``r = (a-b)/s`` carries 3 roundings and
+      ``k``, ``e`` and ``delta`` one each, with ``delta <= r <= 1``.  The
+      worst branch is the one that brackets ``k``: ``e = 1 - k >= 1/2``
+      there, so ``|dk| <= 4 eps`` and ``|de|/e <= (1 + 2 (3 + 1)) eps``.
+
+    That is 22 in all, and ``eps q_x`` is below one ulp of ``q_x``.
     """
     x, y, u, v = q
-    if abs((x - y) - 2.0 * w) > 4.0 * math.ulp(x):
+    if abs((x - y) - 2.0 * w) > 22.0 * math.ulp(x):
         return math.inf
     grads = (-w, w, v, u)
     resid = 0.0

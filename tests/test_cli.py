@@ -149,6 +149,18 @@ class TestOracleVerifyCommand:
         for variant in ("singlet", "general", "parity"):
             assert payload[variant]["n"] == 50
 
+    @pytest.mark.parametrize("seed", ["1459512921", "579374264", "198526064", "6411819",
+                                      "72639870", "2141913565"])
+    def test_splits_off_by_five_ulps_are_certified(self, seed, capsys):
+        # each batch draws a sector whose stored q_x - q_y misses the solve's
+        # 2 w by more than 4 ulps of q_x, all within the rounding of the solve
+        code, out, err = run(["oracle-verify", "--n", "100", "--seed", seed], capsys)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["max_abs_delta"] <= 1e-6
+        for variant in ("singlet", "general", "parity"):
+            assert payload[variant]["max_abs_delta_nats"] <= 1e-6
+
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_rejects_fewer_than_one_spectrum(self, n, capsys):
         with pytest.raises(SystemExit) as stop:
@@ -334,6 +346,14 @@ class TestScanCommands:
         assert refusals[0].startswith("error: ground state is degenerate: its energy gap 0.000e+00")
         assert refusals == refusals[:1] * 3
 
+    def test_a_gap_below_the_gap_runs_residual_is_settled_by_partner_runs(self, capsys):
+        # t = 1e-5: a gap of 5.8e-11, which the gap run's 1e-8 residual read as
+        # a gapped state; the partner runs find the degenerate partner
+        code, out, err = run(["ehm-scan", "--L", "8", "--U", "4", "--V", "1", "--t-hop", "1e-5"],
+                             capsys)
+        assert code == cli.EXIT_FAILURE and out == ""
+        assert err.startswith("error: ground state is degenerate: its energy gap 5.810e-11 is below")
+
     @pytest.mark.parametrize("count", ["0", "-1"])
     @pytest.mark.parametrize("argv", [
         ["ehm-scan", "--L", "4", "--U", "4", "--V", "1:2:{}"],
@@ -435,7 +455,7 @@ class TestImportCost:
     def test_only_the_ed_commands_load_scipy(self):
         # a fresh interpreter: importing the CLI loads no scipy and no logging
         # at all, and the two ED commands run, densely and by Lanczos, without
-        # ARPACK's scipy.sparse.linalg, which only a degenerate ground state loads
+        # ARPACK's scipy.sparse.linalg; so does the partner runs' degenerate solve
         probe = textwrap.dedent("""
             import contextlib, io, json, sys
             import orbent.cli
@@ -445,6 +465,9 @@ class TestImportCost:
                          ["ehm-scan", "--L", "8", "--U", "6", "--V", "3"]):
                 with contextlib.redirect_stdout(io.StringIO()):
                     codes.append(orbent.cli.main(argv))
+            from orbent import lattice
+            ring = lattice.ChainSpec(8, 4, 4, boundary="periodic")
+            lattice.ground_state_rdm(ring, 0, 1, on_degenerate="mixture")
             print(json.dumps({"loaded": loaded, "codes": codes,
                               "linalg": "scipy.sparse.linalg" in sys.modules}))
         """)

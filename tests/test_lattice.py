@@ -18,6 +18,18 @@ from orbent.errors import DegenerateGroundStateError, OrbentError
 LN2 = math.log(2.0)
 
 
+def assert_solves_without_arpack(solves):
+    """Run ``solves`` in a fresh interpreter, warnings as errors, and check
+    that ARPACK's ``scipy.sparse.linalg`` never loads: one eigensolver serves."""
+    probe = ("import sys\nimport numpy as np\nimport scipy.sparse as sparse\n"
+             "from orbent import lattice\n" + textwrap.dedent(solves)
+             + "\nassert 'scipy.sparse.linalg' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(lattice.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 class TestSectorBasis:
     def test_sizes(self):
         basis = lattice.sector_basis(6, 2, 3)
@@ -196,9 +208,13 @@ class TestGroundState:
 
 
 def _arpack_reference(h, seed=7):
+    """The two lowest levels and the ground vector by ARPACK, independent of orbent's solver."""
+    from scipy.sparse.linalg import eigsh
+
     v0 = np.random.default_rng(seed).normal(size=h.shape[0])
-    energies, vectors, _ = lattice._lowest_eigenpairs(h, 2, v0 / np.linalg.norm(v0))
-    return energies, vectors[:, 0]
+    energies, vectors = eigsh(h, k=2, which="SA", v0=v0 / np.linalg.norm(v0))
+    order = np.argsort(energies)
+    return energies[order], vectors[:, order[0]]
 
 
 class TestLanczosSolver:
@@ -235,14 +251,18 @@ class TestLanczosSolver:
             # one electron lifted from the highest filled level to the lowest empty one
             assert gs.energy_gap == pytest.approx(levels[4] - levels[3], abs=1e-9)
 
-    def test_gapped_chains_never_reach_arpack(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("ARPACK ran on a gapped chain")
-
-        monkeypatch.setattr(lattice, "_lowest_eigenpairs", refuse)
+    def test_gapped_chains_make_no_partner_runs(self, run_steps):
         for chain in (lattice.ChainSpec(8, 4, 4, u=6.0, v=3.0), lattice.ChainSpec(6, 3, 3, u=4.0)):
+            run_steps.clear()
             gs = lattice.ground_state(lattice.build_hamiltonian(chain), dense_cutoff=10)
             assert not gs.degenerate and gs.energy_gap > 0.1
+            # the ground run and the gap run
+            assert len(run_steps) == 2
+        assert_solves_without_arpack("""
+            for chain in (lattice.ChainSpec(8, 4, 4, u=6.0, v=3.0), lattice.ChainSpec(6, 3, 3, u=4.0)):
+                gs = lattice.ground_state(lattice.build_hamiltonian(chain), dense_cutoff=10)
+                assert not gs.degenerate and gs.energy_gap > 0.1
+        """)
 
     def test_same_seed_gives_identical_amplitudes(self):
         h = lattice.build_hamiltonian(lattice.ChainSpec(8, 4, 4, u=6.0, v=3.0))
@@ -326,27 +346,22 @@ class TestLanczosSolver:
         assert gs.energy_gap == pytest.approx(expected_gap, abs=1e-12)
         assert not gs.degenerate
 
-    def test_periodic_l4_ring_closes_and_falls_back(self, run_steps, monkeypatch):
+    def test_periodic_l4_ring_closes_and_finds_its_multiplet(self, run_steps):
         # the free ring's four-fold level: each Lanczos run ends when its
-        # Krylov space closes, and ARPACK gives the whole multiplet
+        # Krylov space closes, and the partner runs give the whole multiplet
         h = lattice.build_hamiltonian(lattice.ChainSpec(4, 2, 2, boundary="periodic"))
-        arpack = []
-        solve = lattice._lowest_eigenpairs
-
-        def recorded(*args):
-            result = solve(*args)
-            arpack.append((args[1], result[2]))
-            return result
-
-        monkeypatch.setattr(lattice, "_lowest_eigenpairs", recorded)
         gs = lattice.ground_state(h, dense_cutoff=0)
         dense = lattice.ground_state(h)
-        assert len(run_steps) == 2 and max(run_steps) < lattice.LANCZOS_CHECK_EVERY
-        [(k, arpack_matvecs)] = arpack
-        assert k == 6
-        assert gs.matvecs == run_steps[0] + run_steps[1] + arpack_matvecs
+        # the ground and gap runs, three partners and the run that finds the level above
+        assert len(run_steps) == 2 + 3 + 1 and max(run_steps) < lattice.LANCZOS_CHECK_EVERY
+        # every run keeps all its vectors, so no Ritz vector costs a product
+        assert gs.matvecs == sum(run_steps)
         assert gs.energy == pytest.approx(dense.energy, abs=1e-12)
         assert gs.degenerate and len(gs.multiplet) == len(dense.multiplet) == 4
+        assert_solves_without_arpack("""
+            h = lattice.build_hamiltonian(lattice.ChainSpec(4, 2, 2, boundary="periodic"))
+            assert len(lattice.ground_state(h, dense_cutoff=0).multiplet) == 4
+        """)
 
     @staticmethod
     def keep_rows(monkeypatch, rows, dim):
@@ -419,49 +434,104 @@ class TestLanczosSolver:
             lattice._tridiagonal_lowest([1.0, math.nan], [0.5])
 
     @pytest.mark.parametrize("dim", [2, 3, 7])
-    def test_multiplet_filling_a_tiny_sector_comes_out_whole(self, dim, monkeypatch):
+    def test_multiplet_filling_a_tiny_sector_comes_out_whole(self, dim):
         import scipy.sparse as sparse
 
-        # ARPACK's k = dim - 1 pairs cannot hold a level that fills the
-        # sector, so the degenerate branch solves these sectors densely
-        def refuse(*args, **kwargs):
-            raise AssertionError("ARPACK ran on a sector it cannot hold whole")
-
-        monkeypatch.setattr(lattice, "_lowest_eigenpairs", refuse)
+        # a multiple of the identity: the diagonal operator's unit vectors
+        # fill the sector
         gs = lattice.ground_state(sparse.diags(np.full(dim, 2.0)).tocsr(), dense_cutoff=0)
         assert gs.energy == 2.0
         assert gs.degenerate and gs.energy_gap == 0.0 and len(gs.multiplet) == dim
         overlaps = np.array([[v @ w for w in gs.multiplet] for v in gs.multiplet])
         assert np.abs(overlaps - np.eye(dim)).max() < 1e-12
+        assert_solves_without_arpack(f"""
+            h = sparse.diags(np.full({dim}, 2.0)).tocsr()
+            assert len(lattice.ground_state(h, dense_cutoff=0).multiplet) == {dim}
+        """)
+
+    def test_partner_runs_fill_a_sector_of_one_level(self, run_steps):
+        # t = 1e-160 and U = V = 0: every level lies within DEGENERACY_TOL of
+        # the lowest and the deflation's shift is far below it, so each
+        # partner run finds the level again and its vector is orthogonalized
+        # against the others, until they fill the 36 states
+        chain = lattice.ChainSpec(4, 2, 2, t_hop=1e-160)
+        gs = lattice.ground_state(lattice._SectorOperator(chain), dense_cutoff=0)
+        assert len(run_steps) == 2 + 35
+        assert gs.degenerate and len(gs.multiplet) == 36
+        overlaps = np.array([[v @ w for w in gs.multiplet] for v in gs.multiplet])
+        assert np.abs(overlaps - np.eye(36)).max() < 1e-12
+        assert abs(gs.energy) < 1e-150 and abs(gs.energy_gap) < 1e-150
 
     @pytest.mark.parametrize("matrix_free", [False, True])
-    def test_diagonal_operator_gives_its_lowest_unit_vectors(self, matrix_free, monkeypatch):
-        # t = 0: from one start, ARPACK returned a higher level as the lowest
-        def refuse(*args, **kwargs):
-            raise AssertionError("ARPACK ran on a diagonal operator")
-
-        monkeypatch.setattr(lattice, "_lowest_eigenpairs", refuse)
+    def test_diagonal_operator_gives_its_lowest_unit_vectors(self, matrix_free):
+        # t = 0: every unit vector at the lowest level, 38 of the 400
         chain = lattice.ChainSpec(6, 3, 3, t_hop=0.0, u=2.0, v=1.0)
         h = lattice._SectorOperator(chain) if matrix_free else lattice.build_hamiltonian(chain)
         diagonal = h @ np.ones(h.shape[0])
         gs = lattice.ground_state(h, dense_cutoff=0)
         assert gs.energy == diagonal.min() == 5.0
-        assert gs.degenerate and gs.energy_gap == 0.0 and len(gs.multiplet) == 6
+        assert gs.degenerate and gs.energy_gap == 0.0
+        assert len(gs.multiplet) == np.count_nonzero(diagonal == 5.0) == 38
         for v in gs.multiplet:
             assert np.count_nonzero(v) == 1 and diagonal[np.argmax(v)] == 5.0 and v.max() == 1.0
+        assert_solves_without_arpack(f"""
+            chain = lattice.ChainSpec(6, 3, 3, t_hop=0.0, u=2.0, v=1.0)
+            h = lattice._SectorOperator(chain) if {matrix_free} else lattice.build_hamiltonian(chain)
+            assert len(lattice.ground_state(h, dense_cutoff=0).multiplet) == 38
+        """)
 
-    @pytest.mark.parametrize("chain, message", [
-        # ARPACK's Krylov space closes before it reaches the ground level 0
-        (lattice.ChainSpec(6, 3, 3, t_hop=1e-160, v=1.0),
-         "^eigensolver missed the ground level: ARPACK's lowest level 1 lies above "
-         "the Lanczos level "),
-        (lattice.ChainSpec(4, 2, 2, t_hop=1e-160, u=2.0, boundary="periodic"),
-         "^eigensolver failed on the degenerate ground level: ARPACK error 3: "),
+    def test_l8_diagonal_operator_gives_all_70_vectors(self):
+        # t = 0, U = 6: the 70 states without a doublon share the level 0
+        gs = lattice.ground_state(lattice._SectorOperator(lattice.ChainSpec(8, 4, 4, t_hop=0.0,
+                                                                            u=6.0)))
+        assert gs.energy == 0.0 and gs.energy_gap == 0.0
+        assert gs.degenerate and len(gs.multiplet) == 70
+        assert len({int(np.argmax(v)) for v in gs.multiplet}) == 70
+
+    @pytest.mark.parametrize("chain, members", [
+        (lattice.ChainSpec(6, 3, 3, t_hop=1e-160, v=1.0), 4),
+        (lattice.ChainSpec(4, 2, 2, t_hop=1e-160, u=2.0, boundary="periodic"), 6),
     ])
-    def test_arpack_failures_are_refused(self, chain, message):
-        # t = 1e-160 leaves the operator diagonal to rounding, but not flagged so
-        with pytest.raises(OrbentError, match=message):
-            lattice.ground_state(lattice._SectorOperator(chain), dense_cutoff=0)
+    def test_nearly_diagonal_chains_match_dense(self, chain, members):
+        # t = 1e-160 leaves the operator diagonal to rounding, but not flagged
+        # so: the partner runs find the multiplet, whose level is 0
+        operator = lattice._SectorOperator(chain)
+        dense = lattice.ground_state(operator, dense_cutoff=10**6)
+        gs = lattice.ground_state(operator, dense_cutoff=0)
+        assert gs.energy == pytest.approx(dense.energy, abs=1e-12)
+        assert gs.degenerate and len(gs.multiplet) == len(dense.multiplet) == members
+        overlaps = np.array([[v @ w for w in gs.multiplet] for v in gs.multiplet])
+        assert np.abs(overlaps - np.eye(members)).max() < 1e-12
+
+    def test_diagonal_multiplet_mixture_matches_the_dense_mixture(self):
+        # the pair state averaged over the 38 unit vectors of the L = 6, t = 0
+        # level, against the average over the dense solve's eigenvectors (400
+        # states): any orthonormal basis of the level gives the same mixture
+        chain = lattice.ChainSpec(6, 3, 3, t_hop=0.0, u=2.0, v=1.0)
+        basis = lattice.sector_basis(6, 3, 3)
+        operator = lattice._SectorOperator(chain, basis)
+        gs = lattice.ground_state(operator, dense_cutoff=0)
+        dense = lattice.ground_state(operator, dense_cutoff=10**6)
+        assert len(gs.multiplet) == len(dense.multiplet) == 38
+        for i, j in ((0, 1), (2, 3), (1, 4), (0, 5)):
+            mixture, expected = (lattice.two_orbital_rdm(state, basis, i, j,
+                                                         on_degenerate="mixture").matrix
+                                 for state in (gs, dense))
+            assert np.abs(mixture - expected).max() < 1e-12
+
+    def test_multiplet_past_the_budget_is_refused_by_name(self, monkeypatch):
+        # the zero operator at L = 10: a level of all 63,504 states
+        with pytest.raises(OrbentError, match=r"^a ground multiplet of 63504 states needs 63545 "
+                                              r"vectors in 30787 MiB to solve, above the 512 MiB "
+                                              r"limit$"):
+            lattice.ground_state(lattice._SectorOperator(lattice.ChainSpec(10, 5, 5, t_hop=0.0)))
+        # the free L = 6 ring keeps 1,000 Lanczos rows and eight other
+        # vectors; a budget for two multiplet vectors refuses the third
+        chain = lattice.ChainSpec(6, 2, 2, boundary="periodic")
+        monkeypatch.setattr(lattice, "MAX_HAMILTONIAN_BYTES", 8 * 225 * (1000 + 8 + 2))
+        with pytest.raises(OrbentError, match=r"^a ground multiplet of over 2 states needs 1011 "
+                                              r"vectors in 2 MiB to solve"):
+            lattice.ground_state(lattice._SectorOperator(chain), dense_cutoff=10)
 
     def test_interacting_l4_ring_stops_where_its_krylov_space_closes(self, run_steps):
         # the ring's symmetries keep the ground run in fewer levels than the
@@ -555,19 +625,35 @@ class TestSectorOperator:
                              for state in (gs, reference))
             assert np.abs(rdm - expected).max() < 1e-10
 
-    @pytest.mark.parametrize("length, filling", [(4, 2), (6, 2), (8, 4)])
-    def test_rings_fall_back_to_arpack_whole(self, length, filling, monkeypatch):
-        chain = lattice.ChainSpec(length, filling, filling, boundary="periodic")
-        arpack = []
-        solve = lattice._lowest_eigenpairs
+    @staticmethod
+    def record_levels(monkeypatch):
+        """The Ritz value of each Lanczos run, in order."""
+        levels = []
+        run = lattice._lanczos_lowest
 
         def recorded(*args):
-            arpack.append(args[1])
-            return solve(*args)
+            result = run(*args)
+            levels.append(result[0])
+            return result
 
-        monkeypatch.setattr(lattice, "_lowest_eigenpairs", recorded)
+        monkeypatch.setattr(lattice, "_lanczos_lowest", recorded)
+        return levels
+
+    @pytest.mark.parametrize("length, filling", [(4, 2), (6, 2), (8, 4)])
+    def test_rings_find_their_multiplet_whole(self, length, filling, monkeypatch):
+        chain = lattice.ChainSpec(length, filling, filling, boundary="periodic")
+        levels = self.record_levels(monkeypatch)
         gs = lattice.ground_state(lattice._SectorOperator(chain), dense_cutoff=10)
-        assert arpack == [6]
+        # the even run, the gap run at its level, three partner runs there
+        # and one above
+        assert len(levels) == 6
+        assert max(levels[:5]) - min(levels[:5]) < lattice.DEGENERACY_TOL
+        assert levels[5] - gs.energy > 0.1
+        assert_solves_without_arpack(f"""
+            chain = lattice.ChainSpec({length}, {filling}, {filling}, boundary="periodic")
+            assert len(lattice.ground_state(lattice._SectorOperator(chain), dense_cutoff=10)
+                       .multiplet) == 4
+        """)
         ring = np.sort(-2.0 * np.cos(2.0 * np.pi * np.arange(length) / length))
         assert gs.energy == pytest.approx(2.0 * ring[:filling].sum(), abs=1e-10)
         assert gs.degenerate and len(gs.multiplet) == 4
@@ -630,23 +716,19 @@ class TestSectorOperator:
         # dim 9: E0 = 2 is odd, the lowest even level is 2.6277
         (lattice.ChainSpec(3, 2, 2, u=4.0, boundary="periodic"), 2.627718676730984),
     ])
-    def test_odd_ground_state_takes_the_degenerate_branch(self, chain, even_level, monkeypatch):
-        levels = []
-        run = lattice._lanczos_lowest
-
-        def recorded(*args):
-            result = run(*args)
-            levels.append(result[0])
-            return result
-
+    def test_odd_ground_state_comes_out_of_the_partner_runs(self, chain, even_level,
+                                                            monkeypatch):
         operator = lattice._SectorOperator(chain)
         dense = lattice.ground_state(operator, dense_cutoff=10**6)
-        monkeypatch.setattr(lattice, "_lanczos_lowest", recorded)
+        levels = self.record_levels(monkeypatch)
         gs = lattice.ground_state(operator, dense_cutoff=0)
-        # the even run, then the gap run below it, which sends the solve to ARPACK
-        assert len(levels) == 2
+        # the even run, then the gap run below it; one partner run finds the
+        # odd ground state, and the next the level above it
+        assert len(levels) == 4
         assert levels[0] == pytest.approx(even_level, abs=1e-10)
         assert levels[1] < levels[0] - lattice.DEGENERACY_TOL
+        assert levels[2] == pytest.approx(dense.energy, abs=1e-11)
+        assert levels[3] - levels[2] == pytest.approx(dense.energy_gap, abs=1e-9)
         assert gs.energy == pytest.approx(dense.energy, abs=1e-11)
         assert gs.energy_gap == pytest.approx(dense.energy_gap, abs=1e-9)
         assert not gs.degenerate and not dense.degenerate

@@ -194,6 +194,44 @@ class TestKlMinOracle:
             return
         assert sol.value >= 0.0
 
+    @pytest.mark.parametrize("rule, roles, rest, sector", [
+        ("parity", fock.PAIR_SECTOR, 1, (0.15271014034383706, 0.004243206452760705,
+                                         0.02264821992984262, 0.03512830907341235)),
+        ("number", fock.SPIN_SECTOR, fock.VACUUM, (0.16424427228877936, 0.004040263380143776,
+                                                   0.049042111371423204, 0.015845537167299712)),
+    ])
+    def test_a_split_off_by_five_ulps_certifies_at_the_minimum(self, rule, roles, rest, sector):
+        # the stored q_x - q_y misses the solve's 2 w by 5 ulps of q_x here:
+        # within the rounding of the solve, and the weights are the minimum
+        # of an 80-digit KKT solve
+        import mpmath
+
+        p = np.zeros(16)
+        p[list(roles)] = sector
+        p[rest] = 1.0 - p.sum()
+        sol = oracle.kl_min_oracle(oracle.ConstrainedSimplexProblem(p, rule))
+        assert sol.stationarity_residual < 1e-15
+        q = sol.weights[list(roles)]
+        with mpmath.workdps(80):
+            target = [mpmath.mpf(t) for t in sector]
+
+            def kkt(*point):
+                # stationarity of the KL terms plus lam times the gradient of
+                # the active boundary w^2 - q_u q_v, and the boundary itself
+                qx, qy, qu, qv, lam = point
+                w = (qx - qy) / 2
+                gradient = (w, -w, -qv, -qu)
+                return [1 - t / qi + lam * g for t, qi, g in zip(target, point[:4], gradient)] + [
+                    w * w - qu * qv]
+
+            lam = (1 - target[2] / mpmath.mpf(q[2])) / mpmath.mpf(q[3])
+            root = mpmath.findroot(kkt, [*map(mpmath.mpf, q), lam])
+            # a convex objective on a convex cone: a KKT point with lam > 0 is the minimum
+            assert root[4] > 0
+            minimum = sum(t * mpmath.log(t / qi) - t + qi for t, qi in zip(target, root[:4]))
+            assert_allclose(q, [float(qi) for qi in root[:4]], rtol=1e-14, atol=0.0)
+        assert sol.value == pytest.approx(float(minimum), rel=1e-13, abs=0.0)
+
     def test_zero_weight_under_positive_target_is_not_certified(self, monkeypatch):
         # a solver that drops a rounding-level partner weight returns q_y = 0
         # under p_y > 0: its own residuals pass, but the value is infinite
