@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.linalg.blas import daxpy, ddot, dnrm2
 from scipy.linalg.lapack import dstebz, dstein
-from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
+from scipy.sparse._sparsetools import csr_matvecs
 
 from . import fock
 from .entanglement import EntanglementResult, orbital_entanglement
@@ -45,10 +45,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 MAX_SITES = 14
-#: Largest sector Hamiltonian, in stored CSR bytes, that a build may start
-#: (the Kronecker build peaks at about 2.2 times this: 285 MiB above the
-#: process's baseline for the 130 MiB matrix of L = 12, measured), and
-#: largest set of sector vectors a solve may hold, its multiplet included.
+#: Largest set of sector vectors, in bytes, that a solve may hold: its Krylov
+#: block, ``SOLVE_VECTORS`` and its multiplet.
 MAX_HAMILTONIAN_BYTES = 512 * 2**20
 #: Bytes of Lanczos vectors a ground run keeps for its Ritz vector, in one
 #: block; the steps past it are rebuilt by the three-term recurrence.
@@ -203,21 +201,6 @@ def _sector_hoppings(chain: ChainSpec, basis: SectorBasis):
                   else _species_hopping(basis.dn_states, chain.length, chain.bonds))
 
 
-def _hamiltonian_size(k_up: sparse.csr_matrix, k_dn: sparse.csr_matrix) -> tuple[int, int]:
-    """Stored entries and CSR bytes of the sector Hamiltonian over these hoppings.
-
-    Each row holds its up hoppings, its down hoppings and one diagonal slot
-    (a hopping has no diagonal), so the count is exact unless an entry is
-    zero (``t_hop = 0``, or a zero interaction diagonal entry), which the
-    matrix does not store.  Below 2**31 entries CSR stores 8-byte values and
-    4-byte column indices and row pointers.
-    """
-    n_up, n_dn = k_up.shape[0], k_dn.shape[0]
-    dim = n_up * n_dn
-    nnz = k_up.nnz * n_dn + n_up * k_dn.nnz + dim
-    return nnz, 12 * nnz + 4 * (dim + 1)
-
-
 def _interaction_diagonal(chain: ChainSpec, occ_up: np.ndarray, occ_dn: np.ndarray) -> np.ndarray:
     """``U sum n_up n_dn + V sum_bonds n_i n_j`` on each basis state, as an (n_up, n_dn) array.
 
@@ -248,34 +231,6 @@ def _float_occupancy(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray]:
                  for states in (basis.up_states, basis.dn_states))
 
 
-def build_hamiltonian(chain: ChainSpec, basis: SectorBasis | None = None) -> sparse.csr_matrix:
-    """Sparse real-symmetric sector Hamiltonian ``-t (K_up x 1 + 1 x K_dn) + diag(D)``.
-
-    ``K_up`` and ``K_dn`` are the species hoppings of :func:`_species_hopping`
-    and ``D`` the interaction diagonal.  Like any sparse sum, the matrix
-    stores no entry that is exactly zero (``t_hop = 0``, or a zero diagonal
-    entry).  Refuses, before any sector-sized allocation, a sector whose
-    Hamiltonian would exceed :data:`MAX_HAMILTONIAN_BYTES`.  The ED commands
-    solve through the matrix-free :class:`_SectorOperator`; this matrix is
-    the reference the tests check it against.
-    """
-    if basis is None:
-        basis = sector_basis(chain.length, chain.n_up, chain.n_dn)
-    k_up, k_dn = _sector_hoppings(chain, basis)
-    nnz, stored = _hamiltonian_size(k_up, k_dn)
-    if stored > MAX_HAMILTONIAN_BYTES:
-        raise OrbentError(
-            f"sector Hamiltonian would store {nnz} nonzeros in {stored / 2**20:.0f} MiB, "
-            f"above the {MAX_HAMILTONIAN_BYTES / 2**20:.0f} MiB limit"
-        )
-    diag = _interaction_diagonal(chain, *_float_occupancy(basis))
-    n_up, n_dn = k_up.shape[0], k_dn.shape[0]
-    # scaled before the products, which spares a sector-sized copy of their sum
-    kinetic = (sparse.kron(-chain.t_hop * k_up, sparse.identity(n_dn), format="csr")
-               + sparse.kron(sparse.identity(n_up), -chain.t_hop * k_dn, format="csr"))
-    return (kinetic + sparse.diags(diag.ravel())).tocsr()
-
-
 def _krylov_rows(dim: int) -> int:
     """Rows of the Lanczos block a ground run keeps: ``LANCZOS_BASIS_BYTES`` of them, at least one."""
     return max(1, min(LANCZOS_MAX_STEPS, LANCZOS_BASIS_BYTES // (8 * dim)))
@@ -296,17 +251,16 @@ class _SectorOperator:
     ``X`` is the ``(n_up, n_dn)`` amplitude array of a sector vector (the
     basis's combined index, row-major), ``K_up`` and ``K_dn`` the species
     hoppings of :func:`_species_hopping` and ``D`` the interaction diagonal
-    (Weiße & Fehske, Lect. Notes Phys. 739 (2008), §2-3): the matrix of
-    :func:`build_hamiltonian`, applied without it.  The hoppings depend on the
-    chain's geometry and ``t_hop`` only, so :meth:`at` reuses them, and the
-    buffers, for another ``(U, V)``.  :func:`ground_state` solves through
-    ``apply`` and ``interval``, and, when ``spin_flip`` holds
-    (``n_up == n_dn``), through ``apply_even`` in the spin-flip-even sector
-    ``X = X^T``; like a matrix the operator also has ``shape``, ``dtype``,
-    ``@`` and ``toarray``, which is ``build_hamiltonian(...).toarray()`` bit
-    for bit.  Refuses, before any sector-sized allocation, a sector whose
-    Lanczos solve would hold more than :data:`MAX_HAMILTONIAN_BYTES` of
-    vectors.
+    (Weiße & Fehske, Lect. Notes Phys. 739 (2008), §2-3): the Kronecker sum
+    ``-t (K_up x 1 + 1 x K_dn) + diag(D)``, applied without building it.
+    The hoppings depend on the chain's geometry and ``t_hop`` only, so
+    :meth:`at` reuses them, and the buffers, for another ``(U, V)``.
+    :func:`ground_state` solves through ``apply`` and ``interval``, and, when
+    ``spin_flip`` holds (``n_up == n_dn``), through ``apply_even`` in the
+    spin-flip-even sector ``X = X^T``; like a matrix the operator also has
+    ``shape``, ``dtype``, ``nnz``, ``@`` and ``toarray``.  Refuses, before any
+    sector-sized allocation, a sector whose Lanczos solve would hold more
+    than :data:`MAX_HAMILTONIAN_BYTES` of vectors.
     """
 
     dtype = np.dtype(np.float64)
@@ -317,7 +271,10 @@ class _SectorOperator:
         k_up, k_dn = _sector_hoppings(chain, basis)
         n_up, n_dn = k_up.shape[0], k_dn.shape[0]
         dim = n_up * n_dn
-        _check_vectors(dim, 0, f"sector of {dim} states ({_hamiltonian_size(k_up, k_dn)[0]} nonzeros)")
+        #: entries of the matrix form: each row's up and down hoppings and its
+        #: diagonal slot (a hopping has none), counted where zero too (``t_hop = 0``)
+        self.nnz = k_up.nnz * n_dn + n_up * k_dn.nnz + dim
+        _check_vectors(dim, 0, f"sector of {dim} states ({self.nnz} nonzeros)")
         self.shape = (dim, dim)
         self._n = n_up, n_dn
         self._t_hop = chain.t_hop
@@ -404,7 +361,7 @@ class _SectorOperator:
     def toarray(self) -> np.ndarray:
         n_up, n_dn = self._n
         dense = np.zeros((n_up, n_dn, n_up, n_dn))
-        # the CSR matrix stores no zero hopping (t_hop = 0), and toarray gives +0.0 there
+        # a zero hopping (t_hop = 0) is +0.0, as in the Kronecker sum, not -0.0 times a sign
         if self._t_hop != 0.0:
             a, b = np.arange(n_up), np.arange(n_dn)
             deg_up, deg_dn = self._degrees
@@ -419,39 +376,13 @@ class _SectorOperator:
         return dense
 
 
-class _CsrOperator:
-    """A sparse matrix behind the interface of :class:`_SectorOperator`, in CSR form.
+def build_hamiltonian(chain: ChainSpec, basis: SectorBasis | None = None) -> _SectorOperator:
+    """The real-symmetric sector Hamiltonian of ``chain``, the input of :func:`ground_state`.
 
-    ``apply`` zeroes ``out`` and makes one ``csr_matvec`` kernel call into it:
-    the bits of ``@``, which calls the kernel on a new zeroed vector, with no
-    allocation, dispatch or copy.  ``interval`` is the union of the matrix's
-    Gershgorin discs.
+    It is the matrix-free :class:`_SectorOperator`; ``basis`` defaults to the
+    chain's ``(N_up, N_down)`` sector.
     """
-
-    #: a matrix carries no spin-flip symmetry: its solves stay in the full space
-    spin_flip = False
-
-    def __init__(self, matrix: sparse.spmatrix):
-        self._matrix = matrix = matrix.tocsr()
-        self.shape, self.dtype = matrix.shape, matrix.dtype
-        dim, diag = self.shape[0], matrix.diagonal()
-        radius = self.apply(np.ones(dim), np.empty(dim), np.abs(matrix.data)) - np.abs(diag)
-        self.interval = float((diag - radius).min()), float((diag + radius).max())
-        #: no off-diagonal entry, so the unit vectors are eigenvectors
-        self.is_diagonal = not radius.any()
-
-    def apply(self, x: np.ndarray, out: np.ndarray, data: np.ndarray | None = None) -> np.ndarray:
-        """``H x`` into ``out``, with ``data`` in place of the stored values if given."""
-        out.fill(0.0)
-        csr_matvec(*self.shape, self._matrix.indptr, self._matrix.indices,
-                   self._matrix.data if data is None else data, x, out)
-        return out
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self._matrix @ x
-
-    def toarray(self) -> np.ndarray:
-        return self._matrix.toarray()
+    return _SectorOperator(chain, basis)
 
 
 @dataclass(frozen=True)
@@ -580,7 +511,7 @@ def _ritz_vector(apply, krylov: np.ndarray, s: np.ndarray, alphas, betas) -> np.
     return x
 
 
-def ground_state(hamiltonian: sparse.spmatrix | _SectorOperator, *, seed: int = 7,
+def ground_state(hamiltonian: _SectorOperator, *, seed: int = 7,
                  dense_cutoff: int = DENSE_CUTOFF) -> GroundState:
     """Lowest eigenpair, dense below ``dense_cutoff``, else Lanczos with fixed seed.
 
@@ -614,15 +545,16 @@ def ground_state(hamiltonian: sparse.spmatrix | _SectorOperator, *, seed: int = 
     shift no width, so it gives every unit vector at its lowest level
     instead.  The multiplet counts against ``MAX_HAMILTONIAN_BYTES``.
 
-    ``hamiltonian`` is a :class:`_SectorOperator` or a real symmetric sparse
-    matrix, which is wrapped in a :class:`_CsrOperator`: one path serves
-    both.  Every product the runs make is the operator's ``apply`` (or
-    ``apply_even``) into a vector the run owns, the solver's norm bounds come
-    from its Gershgorin ``interval``, and the dense path diagonalizes its
-    ``toarray``.  The residual check is one full-space product.
+    ``hamiltonian`` is the operator of :func:`build_hamiltonian`; anything
+    else, a sparse matrix included, is refused with a ``TypeError``.  Every
+    product the runs make is its ``apply`` (or ``apply_even``) into a vector
+    the run owns, the solver's norm bounds come from its Gershgorin
+    ``interval``, and the dense path diagonalizes its ``toarray``.  The
+    residual check is one full-space product.
     """
     if not isinstance(hamiltonian, _SectorOperator):
-        hamiltonian = _CsrOperator(hamiltonian)
+        raise TypeError(f"ground_state takes the sector operator of build_hamiltonian, "
+                        f"not a {type(hamiltonian).__name__}")
     dim = hamiltonian.shape[0]
     matvecs = 0
     if dim <= dense_cutoff:

@@ -5,12 +5,13 @@ Schema: ``{"dim": 16, "basis": "occupation-A↑A↓B↑B↓",
 be omitted for real matrices.  Readers reject, with a ``ValueError`` that
 names the field, a document that is not an object, wrong dimensions, a wrong
 basis tag, a missing ``re``, entries that are not 16 rows of 16 numbers in
-the float range, and matrices violating the state tolerances (Hermiticity,
-unit trace, positivity).
+the float range (a JSON ``true`` or ``false`` is not a number), and matrices
+violating the state tolerances (Hermiticity, unit trace, positivity).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -51,6 +52,9 @@ def _entries(data: dict, key: str) -> np.ndarray:
         raise ValueError(f"field {key!r} must hold 16 rows of 16 numbers: {exc}") from None
     if values.shape != (fock.DIM, fock.DIM):
         raise ValueError(f"field {key!r} must hold 16 rows of 16 numbers, got shape {values.shape}")
+    # numpy reads a boolean among numbers as 0 or 1; only the entries' types show it
+    if bool in set(map(type, itertools.chain.from_iterable(data[key]))):
+        raise ValueError(f"field {key!r} must hold 16 rows of 16 numbers: entries of type bool")
     return values
 
 

@@ -245,7 +245,7 @@ class TestOracleVerifyCommand:
 class TestScanCommands:
     def test_ehm_scan_refuses_an_oversized_sector(self, capsys):
         # read the limit first, so that code without the preflight fails
-        # here instead of building the multi-gigabyte L=14 matrix
+        # here instead of allocating the L=14 sector's gigabytes of vectors
         assert lattice.MAX_HAMILTONIAN_BYTES < 2**30
         code, out, err = run(["ehm-scan", "--L", "14", "--U", "6", "--V", "3"], capsys)
         assert code == cli.EXIT_FAILURE

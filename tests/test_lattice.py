@@ -15,6 +15,8 @@ from orbent import entanglement as ent
 from orbent import fock, free_fermion as ff, lattice, ssr
 from orbent.errors import DegenerateGroundStateError, OrbentError
 
+from conftest import kronecker_hamiltonian
+
 LN2 = math.log(2.0)
 
 
@@ -85,8 +87,8 @@ class TestHamiltonian:
 
     def test_hermitian(self):
         chain = lattice.ChainSpec(5, 2, 3, u=2.0, v=0.7, boundary="periodic")
-        h = lattice.build_hamiltonian(chain)
-        assert abs(h - h.T).max() == 0.0
+        h = lattice.build_hamiltonian(chain).toarray()
+        assert np.array_equal(h, h.T)
 
     def test_dimer_free_energy(self):
         chain = lattice.ChainSpec(2, 1, 1, t_hop=1.3)
@@ -119,14 +121,21 @@ class TestHamiltonian:
 
 
 class TestGroundState:
-    def test_diagonal_matrix(self):
-        import scipy.sparse as sparse
-
-        h = sparse.diags([3.0, -1.0, 2.0, 5.0]).tocsr()
-        gs = lattice.ground_state(h)
-        assert gs.energy == -1.0
-        assert abs(abs(gs.amplitudes[1]) - 1.0) < 1e-12
+    def test_diagonal_operator(self):
+        # t = 0: the lowest entry, 2 U for the two doublons on the end sites
+        # of a three-site chain, lies below the others (10, 13 and 14)
+        chain = lattice.ChainSpec(3, 2, 2, t_hop=0.0, u=1.0, v=3.0)
+        basis = lattice.sector_basis(3, 2, 2)
+        gs = lattice.ground_state(lattice.build_hamiltonian(chain, basis))
+        assert gs.energy == 2.0
+        assert abs(abs(gs.amplitudes[basis.index(0b101, 0b101)]) - 1.0) < 1e-12
         assert not gs.degenerate
+
+    def test_a_sparse_matrix_is_refused_by_type(self):
+        h = kronecker_hamiltonian(lattice.ChainSpec(4, 2, 2, u=4.0))
+        with pytest.raises(TypeError, match="^ground_state takes the sector operator of "
+                                            "build_hamiltonian, not a csr_matrix$"):
+            lattice.ground_state(h)
 
     def test_degeneracy_detected_and_refused(self):
         chain = lattice.ChainSpec(4, 2, 2, boundary="periodic")
@@ -182,33 +191,14 @@ class TestGroundState:
         assert sparse_gs.energy_gap == pytest.approx(dense.energy_gap, abs=1e-9)
         assert not sparse_gs.degenerate and len(sparse_gs.multiplet) == 1
 
-    @pytest.mark.parametrize("length, filling", [(4, 2), (6, 2), (8, 4)])
-    def test_lanczos_resolves_four_fold_multiplet(self, length, filling):
-        # free rings with one electron per spin in a two-fold level: the
-        # ground multiplet has four states, more than the first Lanczos
-        # solve returns, so four vectors mean the wider solve ran
-        chain = lattice.ChainSpec(length, filling, filling, boundary="periodic")
-        h = lattice.build_hamiltonian(chain)
-        gs = lattice.ground_state(h, dense_cutoff=10)
-        ring = np.sort(-2.0 * np.cos(2.0 * np.pi * np.arange(length) / length))
-        assert gs.energy == pytest.approx(2.0 * ring[:filling].sum(), abs=1e-10)
-        assert gs.degenerate and len(gs.multiplet) == 4
-        if h.shape[0] <= lattice.DENSE_CUTOFF:  # the L=8 dense solve takes seconds
-            dense = lattice.ground_state(h)
-            assert gs.energy == pytest.approx(dense.energy, abs=1e-10)
-            assert len(dense.multiplet) == 4
-        overlaps = np.array([[v @ w for w in gs.multiplet] for v in gs.multiplet])
-        assert np.abs(overlaps - np.eye(4)).max() < 1e-10
-        for v in gs.multiplet:
-            assert np.linalg.norm(h @ v - gs.energy * v) < lattice.RESIDUAL_TOL
-
     def test_dense_path_spends_no_matvecs(self):
         gs = lattice.ground_state(lattice.build_hamiltonian(lattice.ChainSpec(4, 2, 2, u=4.0)))
         assert gs.matvecs == 0
 
 
 def _arpack_reference(h, seed=7):
-    """The two lowest levels and the ground vector by ARPACK, independent of orbent's solver."""
+    """The two lowest levels and the ground vector of the matrix ``h`` by ARPACK,
+    independent of orbent's solver."""
     from scipy.sparse.linalg import eigsh
 
     v0 = np.random.default_rng(seed).normal(size=h.shape[0])
@@ -221,30 +211,38 @@ class TestLanczosSolver:
     """The two-pass Lanczos ground state and its deflated gap run."""
 
     @staticmethod
-    def assert_matches(gs, h, energies, vector):
+    def assert_matches(gs, operator, h, energies, vector):
+        """``gs``, solved on ``operator``, against the levels and ground vector of
+        the reference matrix ``h``."""
         assert gs.energy == pytest.approx(energies[0], abs=1e-11)
         assert gs.energy_gap == pytest.approx(energies[1] - energies[0], abs=1e-9)
         assert gs.residual < 1e-12
-        assert np.linalg.norm(h @ gs.amplitudes - gs.energy * gs.amplitudes) == gs.residual
+        scaled = gs.energy * gs.amplitudes
+        assert np.linalg.norm(operator @ gs.amplitudes - scaled) == gs.residual
+        assert np.linalg.norm(h @ gs.amplitudes - scaled) < 1e-12
         assert abs(gs.amplitudes @ vector) == pytest.approx(1.0, abs=1e-12)
         assert not gs.degenerate and len(gs.multiplet) == 1
 
     @pytest.mark.parametrize("u, v", [(6.0, 3.0), (0.0, 4.0)])
     def test_l6_matches_dense_and_arpack(self, u, v):
-        h = lattice.build_hamiltonian(lattice.ChainSpec(6, 3, 3, u=u, v=v))
-        gs = lattice.ground_state(h, dense_cutoff=10)
+        chain = lattice.ChainSpec(6, 3, 3, u=u, v=v)
+        operator = lattice.build_hamiltonian(chain)
+        gs = lattice.ground_state(operator, dense_cutoff=10)
         assert gs.matvecs > 0
+        h = kronecker_hamiltonian(chain)
         energies, vectors = np.linalg.eigh(h.toarray())
-        self.assert_matches(gs, h, energies, vectors[:, 0])
-        self.assert_matches(gs, h, *_arpack_reference(h))
+        self.assert_matches(gs, operator, h, energies, vectors[:, 0])
+        self.assert_matches(gs, operator, h, *_arpack_reference(h))
 
     @pytest.mark.parametrize("u, v", [(0.0, 0.0), (6.0, 3.0), (0.0, 4.0)])
     def test_l8_matches_arpack(self, u, v):
         # a dense solve of the 4,900 states takes seconds; ARPACK and, at
         # U = V = 0, the single-particle levels are the references
-        h = lattice.build_hamiltonian(lattice.ChainSpec(8, 4, 4, u=u, v=v))
-        gs = lattice.ground_state(h)
-        self.assert_matches(gs, h, *_arpack_reference(h))
+        chain = lattice.ChainSpec(8, 4, 4, u=u, v=v)
+        operator = lattice.build_hamiltonian(chain)
+        gs = lattice.ground_state(operator)
+        h = kronecker_hamiltonian(chain)
+        self.assert_matches(gs, operator, h, *_arpack_reference(h))
         if u == v == 0.0:
             levels = np.linalg.eigvalsh(np.diag(np.full(7, -1.0), 1) + np.diag(np.full(7, -1.0), -1))
             assert gs.energy == pytest.approx(2 * levels[:4].sum(), abs=1e-11)
@@ -277,7 +275,6 @@ class TestLanczosSolver:
         with pytest.raises(OrbentError, match="did not converge in 15 Lanczos steps"):
             lattice.ground_state(h, dense_cutoff=10)
 
-    @pytest.mark.parametrize("matrix_free", [False, True])
     @pytest.mark.parametrize("u, error, message", [
         # a norm bound of about 20 leaves the certificate far above rounding
         (4.0, OrbentError, r"^eigensolver residual \S+ too large$"),
@@ -285,7 +282,7 @@ class TestLanczosSolver:
                           r"residual certificate out of reach, below rounding at the "
                           r"Hamiltonian's Gershgorin norm bound 3\.000e\+09$"),
     ])
-    def test_residual_refusal_names_its_cause(self, u, error, message, matrix_free, monkeypatch):
+    def test_residual_refusal_names_its_cause(self, u, error, message, monkeypatch):
         # a Ritz value 1e-3 off: a solver failure, unless the couplings put the
         # residual certificate below rounding anyway
         run = lattice._lanczos_lowest
@@ -295,8 +292,7 @@ class TestLanczosSolver:
             return (theta + 1e-3, *rest)
 
         monkeypatch.setattr(lattice, "_lanczos_lowest", off)
-        chain = lattice.ChainSpec(6, 3, 3, u=u)
-        h = lattice._SectorOperator(chain) if matrix_free else lattice.build_hamiltonian(chain)
+        h = lattice.build_hamiltonian(lattice.ChainSpec(6, 3, 3, u=u))
         with pytest.raises(error, match=message) as caught:
             lattice.ground_state(h, dense_cutoff=10)
         assert isinstance(caught.value, OrbentError) == (error is OrbentError)
@@ -316,30 +312,37 @@ class TestLanczosSolver:
         return steps
 
     def test_repeated_diagonal_closes_the_krylov_space(self, run_steps):
-        import scipy.sparse as sparse
+        # t = 0 and four distinct entries, 2, 10, 13 and 14, on nine states:
+        # each run ends when its Krylov space closes, before the first
+        # periodic check, and never divides by the zero beta
+        chain = lattice.ChainSpec(3, 2, 2, t_hop=0.0, u=1.0, v=3.0)
+        basis = lattice.sector_basis(3, 2, 2)
+        gs = lattice.ground_state(lattice.build_hamiltonian(chain, basis), dense_cutoff=0)
+        # the shift lifts the ground vector onto the top entry: three levels are left
+        assert run_steps == [4, 3]
+        assert gs.energy == pytest.approx(2.0, abs=1e-14)
+        assert gs.energy_gap == pytest.approx(8.0, abs=1e-14)
+        assert abs(gs.amplitudes[basis.index(0b101, 0b101)]) == pytest.approx(1.0, abs=1e-14)
+        # the ground run keeps its four vectors, so the Ritz vector costs no product
+        assert gs.matvecs == 4 + 3
 
-        # three distinct entries: each run ends when its Krylov space closes,
-        # before the first periodic check, and never divides by the zero beta
-        h = sparse.diags([3.0, 1.0, 3.0, -2.0, 1.0, 3.0]).tocsr()
+    @pytest.mark.parametrize("chain, steps", [
+        # one state: two up electrons on two sites
+        (lattice.ChainSpec(2, 2, 0, v=1.5), [1]),
+        # one electron hopping along two sites: the shift lifts the ground
+        # vector onto the other level, so the gap run sees one
+        (lattice.ChainSpec(2, 1, 0, t_hop=0.7), [2, 1]),
+        # along three and four sites
+        (lattice.ChainSpec(3, 1, 0, t_hop=-1.3), [3, 3]),
+        (lattice.ChainSpec(4, 1, 0, t_hop=0.4), [4, 4]),
+    ], ids=["1", "2", "3", "4"])
+    def test_tiny_sectors_match_dense(self, chain, steps, run_steps):
+        h = lattice.build_hamiltonian(chain)
+        dim = h.shape[0]
         gs = lattice.ground_state(h, dense_cutoff=0)
-        # the shift lifts the ground vector onto the top entry: two levels are left
-        assert run_steps == [3, 2]
-        assert gs.energy == pytest.approx(-2.0, abs=1e-14)
-        assert gs.energy_gap == pytest.approx(3.0, abs=1e-14)
-        assert abs(gs.amplitudes[3]) == pytest.approx(1.0, abs=1e-14)
-        # the ground run keeps its three vectors, so the Ritz vector costs no product
-        assert gs.matvecs == 3 + 2
-
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-    def test_tiny_sectors_match_dense(self, dim, run_steps):
-        import scipy.sparse as sparse
-
-        a = np.random.default_rng(dim).normal(size=(dim, dim))
-        h = sparse.csr_matrix(a + a.T)
-        gs = lattice.ground_state(h, dense_cutoff=0)
-        # each run closes after dim steps, at a rounding-level beta
-        assert run_steps == ([dim, dim] if dim > 1 else [1])
-        energies, vectors = np.linalg.eigh(a + a.T)
+        # each run closes where its Krylov space does, at a rounding-level beta
+        assert run_steps == steps
+        energies, vectors = np.linalg.eigh(kronecker_hamiltonian(chain).toarray())
         assert gs.energy == pytest.approx(energies[0], abs=1e-12)
         assert abs(gs.amplitudes @ vectors[:, 0]) == pytest.approx(1.0, abs=1e-12)
         expected_gap = energies[1] - energies[0] if dim > 1 else math.inf
@@ -398,7 +401,7 @@ class TestLanczosSolver:
         assert gs.matvecs == sum(run_steps)
 
     def test_partial_block_at_l10_matches_the_one_row_solve(self, monkeypatch):
-        # the default budget keeps 33 of the L=10 ground run's ~130 vectors
+        # the default budget keeps 33 of the L=10 ground run's ~110 vectors
         # and rebuilds the rest from the last two kept rows
         h = lattice.build_hamiltonian(lattice.ChainSpec(10, 5, 5, u=6.0, v=3.0))
         assert 1 < lattice.LANCZOS_BASIS_BYTES // (8 * h.shape[0]) < 100
@@ -435,17 +438,16 @@ class TestLanczosSolver:
 
     @pytest.mark.parametrize("dim", [2, 3, 7])
     def test_multiplet_filling_a_tiny_sector_comes_out_whole(self, dim):
-        import scipy.sparse as sparse
-
-        # a multiple of the identity: the diagonal operator's unit vectors
+        # one electron that cannot hop: the zero operator, whose unit vectors
         # fill the sector
-        gs = lattice.ground_state(sparse.diags(np.full(dim, 2.0)).tocsr(), dense_cutoff=0)
-        assert gs.energy == 2.0
+        chain = lattice.ChainSpec(dim, 1, 0, t_hop=0.0)
+        gs = lattice.ground_state(lattice.build_hamiltonian(chain), dense_cutoff=0)
+        assert gs.energy == 0.0
         assert gs.degenerate and gs.energy_gap == 0.0 and len(gs.multiplet) == dim
         overlaps = np.array([[v @ w for w in gs.multiplet] for v in gs.multiplet])
         assert np.abs(overlaps - np.eye(dim)).max() < 1e-12
         assert_solves_without_arpack(f"""
-            h = sparse.diags(np.full({dim}, 2.0)).tocsr()
+            h = lattice.build_hamiltonian(lattice.ChainSpec({dim}, 1, 0, t_hop=0.0))
             assert len(lattice.ground_state(h, dense_cutoff=0).multiplet) == {dim}
         """)
 
@@ -462,11 +464,10 @@ class TestLanczosSolver:
         assert np.abs(overlaps - np.eye(36)).max() < 1e-12
         assert abs(gs.energy) < 1e-150 and abs(gs.energy_gap) < 1e-150
 
-    @pytest.mark.parametrize("matrix_free", [False, True])
-    def test_diagonal_operator_gives_its_lowest_unit_vectors(self, matrix_free):
+    def test_diagonal_operator_gives_its_lowest_unit_vectors(self):
         # t = 0: every unit vector at the lowest level, 38 of the 400
         chain = lattice.ChainSpec(6, 3, 3, t_hop=0.0, u=2.0, v=1.0)
-        h = lattice._SectorOperator(chain) if matrix_free else lattice.build_hamiltonian(chain)
+        h = lattice.build_hamiltonian(chain)
         diagonal = h @ np.ones(h.shape[0])
         gs = lattice.ground_state(h, dense_cutoff=0)
         assert gs.energy == diagonal.min() == 5.0
@@ -474,9 +475,8 @@ class TestLanczosSolver:
         assert len(gs.multiplet) == np.count_nonzero(diagonal == 5.0) == 38
         for v in gs.multiplet:
             assert np.count_nonzero(v) == 1 and diagonal[np.argmax(v)] == 5.0 and v.max() == 1.0
-        assert_solves_without_arpack(f"""
-            chain = lattice.ChainSpec(6, 3, 3, t_hop=0.0, u=2.0, v=1.0)
-            h = lattice._SectorOperator(chain) if {matrix_free} else lattice.build_hamiltonian(chain)
+        assert_solves_without_arpack("""
+            h = lattice.build_hamiltonian(lattice.ChainSpec(6, 3, 3, t_hop=0.0, u=2.0, v=1.0))
             assert len(lattice.ground_state(h, dense_cutoff=0).multiplet) == 38
         """)
 
@@ -537,65 +537,18 @@ class TestLanczosSolver:
         # the ring's symmetries keep the ground run in fewer levels than the
         # 36 states; it ends at the closing beta (about 2e-11 times the norm)
         # instead of dividing by it and running on among ghost copies
-        h = lattice.build_hamiltonian(lattice.ChainSpec(4, 2, 2, u=4.0, boundary="periodic"))
+        chain = lattice.ChainSpec(4, 2, 2, u=4.0, boundary="periodic")
+        h = lattice.build_hamiltonian(chain)
         gs = lattice.ground_state(h, dense_cutoff=0)
         assert run_steps[0] < h.shape[0]
-        energies = np.linalg.eigvalsh(h.toarray())
+        energies = np.linalg.eigvalsh(kronecker_hamiltonian(chain).toarray())
         assert gs.energy == pytest.approx(energies[0], abs=1e-12)
         assert gs.energy_gap == pytest.approx(energies[1] - energies[0], abs=1e-9)
         assert gs.residual < 1e-10 and not gs.degenerate
 
 
-class TestSparseKernel:
-    """The Lanczos runs call scipy's private ``csr_matvec`` kernel directly;
-    a scipy release that changes what ``@`` computes shows up here."""
-
-    @pytest.mark.parametrize("chain", [
-        lattice.ChainSpec(4, 2, 2, u=4.0, v=1.0, boundary="periodic"),
-        lattice.ChainSpec(6, 3, 2, t_hop=0.7, u=-2.0),
-        lattice.ChainSpec(8, 4, 4, u=6.0, v=3.0),
-        lattice.ChainSpec(8, 4, 4, t_hop=0.0, u=6.0),
-        lattice.ChainSpec(10, 5, 5, u=6.0, v=3.0),
-    ])
-    def test_products_match_scipy_bit_for_bit(self, chain):
-        h = lattice.build_hamiltonian(chain)
-        operator = lattice._CsrOperator(h)
-        dim = h.shape[0]
-        x = np.random.default_rng(chain.length).normal(size=dim)
-        # the product zeroes what it writes into
-        out = np.full(dim, np.nan)
-        assert operator.apply(x, out) is out
-        assert np.array_equal(out, h @ x)
-        ones = np.ones(dim)
-        sums = operator.apply(ones, np.full(dim, np.nan), data=np.abs(h.data))
-        assert np.array_equal(sums, abs(h) @ ones)
-        diag = h.diagonal()
-        radius = abs(h) @ ones - np.abs(diag)
-        assert operator.interval == (float((diag - radius).min()),
-                                     float((diag + radius).max()))
-
-    @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
-    def test_adapter_presents_the_matrix_it_wraps(self, fmt):
-        # the dense path reads toarray, the residual check reads @
-        h = lattice.build_hamiltonian(lattice.ChainSpec(6, 3, 2, t_hop=0.7, u=4.0, v=1.0))
-        operator = lattice._CsrOperator(h.asformat(fmt))
-        assert (operator.shape, operator.dtype) == (h.shape, h.dtype)
-        x = np.random.default_rng(6).normal(size=h.shape[0])
-        assert np.array_equal(operator @ x, h @ x)
-        assert np.array_equal(operator.apply(x, np.empty_like(x)), h @ x)
-        assert np.array_equal(operator.toarray(), h.toarray())
-
-    def test_other_sparse_formats_solve_as_csr(self):
-        h = lattice.build_hamiltonian(lattice.ChainSpec(6, 3, 3, u=4.0, v=1.0))
-        as_csr = lattice.ground_state(h, dense_cutoff=10)
-        as_csc = lattice.ground_state(h.tocsc(), dense_cutoff=10)
-        assert np.array_equal(as_csr.amplitudes, as_csc.amplitudes)
-        assert (as_csr.energy, as_csr.energy_gap, as_csr.matvecs) == (
-            as_csc.energy, as_csc.energy_gap, as_csc.matvecs)
-
-
 class TestSectorOperator:
-    """The matrix-free operator the ED commands solve through, against the CSR matrix."""
+    """The matrix-free operator the ED commands solve through, against the Kronecker reference."""
 
     @pytest.mark.parametrize("chain, dense_cutoff", [
         (lattice.ChainSpec(8, 4, 4, u=6.0, v=3.0), lattice.DENSE_CUTOFF),
@@ -605,24 +558,31 @@ class TestSectorOperator:
         (lattice.ChainSpec(6, 3, 3, u=4.0, v=1.0), lattice.DENSE_CUTOFF),
         (lattice.ChainSpec(10, 5, 5, u=6.0, v=3.0), lattice.DENSE_CUTOFF),
     ])
-    def test_solves_match_csr_solves(self, chain, dense_cutoff):
+    def test_solves_match_the_kronecker_reference(self, chain, dense_cutoff):
+        # the reference: the Kronecker matrix's dense eigenpairs up to
+        # DENSE_CUTOFF states, ARPACK's ground pair and next level above
         basis = lattice.sector_basis(chain.length, chain.n_up, chain.n_dn)
-        h = lattice.build_hamiltonian(chain, basis)
-        reference = lattice.ground_state(h, dense_cutoff=dense_cutoff)
+        h = kronecker_hamiltonian(chain)
+        if basis.dim <= lattice.DENSE_CUTOFF:
+            energies, vectors = np.linalg.eigh(h.toarray())
+        else:
+            energies, vector = _arpack_reference(h)
+            vectors = vector[:, None]
+        members = int(np.count_nonzero(energies - energies[0] < lattice.DEGENERACY_TOL))
         gs = lattice.ground_state(lattice._SectorOperator(chain, basis), dense_cutoff=dense_cutoff)
-        assert gs.energy == pytest.approx(reference.energy, abs=1e-11)
-        assert gs.energy_gap == pytest.approx(reference.energy_gap, abs=1e-9)
-        assert gs.degenerate == reference.degenerate
+        assert gs.energy == pytest.approx(energies[0], abs=1e-11)
+        assert gs.energy_gap == pytest.approx(energies[1] - energies[0], abs=1e-9)
+        assert gs.degenerate == (members > 1) and len(gs.multiplet) == members
         assert gs.residual < 1e-12
         assert np.linalg.norm(h @ gs.amplitudes - gs.energy * gs.amplitudes) < 1e-12
         if basis.dim <= dense_cutoff:
-            # the same dense matrix: the same bits
-            assert np.array_equal(gs.amplitudes, reference.amplitudes)
+            # the dense solve of the same dense matrix: the same bits
+            assert np.array_equal(gs.amplitudes, vectors[:, 0] / np.linalg.norm(vectors[:, 0]))
         # a degenerate multiplet's vectors differ between the solves, its average does not
         for i in range(chain.length - 1):
-            rdm, expected = (lattice.two_orbital_rdm(state, basis, i, i + 1,
-                                                     on_degenerate="mixture").matrix
-                             for state in (gs, reference))
+            rdm = lattice.two_orbital_rdm(gs, basis, i, i + 1, on_degenerate="mixture").matrix
+            expected = sum(lattice.two_orbital_rdm(vectors[:, k], basis, i, i + 1).matrix
+                           for k in range(members)) / members
             assert np.abs(rdm - expected).max() < 1e-10
 
     @staticmethod
@@ -641,6 +601,9 @@ class TestSectorOperator:
 
     @pytest.mark.parametrize("length, filling", [(4, 2), (6, 2), (8, 4)])
     def test_rings_find_their_multiplet_whole(self, length, filling, monkeypatch):
+        # free rings with one electron per spin in a two-fold level: the
+        # ground multiplet has four states, more than the ground run returns,
+        # so four vectors mean the partner runs ran
         chain = lattice.ChainSpec(length, filling, filling, boundary="periodic")
         levels = self.record_levels(monkeypatch)
         gs = lattice.ground_state(lattice._SectorOperator(chain), dense_cutoff=10)
@@ -659,9 +622,13 @@ class TestSectorOperator:
         assert gs.degenerate and len(gs.multiplet) == 4
         overlaps = np.array([[v @ w for w in gs.multiplet] for v in gs.multiplet])
         assert np.abs(overlaps - np.eye(4)).max() < 1e-10
-        h = lattice.build_hamiltonian(chain)
+        h = kronecker_hamiltonian(chain)
         for v in gs.multiplet:
             assert np.linalg.norm(h @ v - gs.energy * v) < lattice.RESIDUAL_TOL
+        if h.shape[0] <= lattice.DENSE_CUTOFF:  # the L=8 dense solve takes seconds
+            levels = np.linalg.eigvalsh(h.toarray())
+            assert gs.energy == pytest.approx(levels[0], abs=1e-10)
+            assert np.count_nonzero(levels - levels[0] < lattice.DEGENERACY_TOL) == 4
 
     @staticmethod
     def count_products(operator, monkeypatch):
@@ -686,7 +653,8 @@ class TestSectorOperator:
 
     def test_even_ground_run_spends_fewer_products(self, monkeypatch):
         # the ground run and its Ritz sum stay in the spin-flip-even sector;
-        # the gap run and the residual check are full-space products
+        # the gap run and the residual check are full-space products.  The
+        # reference is the same operator with the sector switched off.
         chain = lattice.ChainSpec(8, 4, 4, u=6.0, v=3.0)
         steps = []
         run = lattice._lanczos_lowest
@@ -697,7 +665,9 @@ class TestSectorOperator:
             return result
 
         monkeypatch.setattr(lattice, "_lanczos_lowest", recorded)
-        reference = lattice.ground_state(lattice.build_hamiltonian(chain))
+        full_space = lattice._SectorOperator(chain)
+        full_space.spin_flip = False
+        reference = lattice.ground_state(full_space)
         full_ground, full_gap = steps
         steps.clear()
         operator = lattice._SectorOperator(chain)
@@ -943,6 +913,20 @@ class TestBondScan:
                                  "energy": gs.energy})
         assert rows == expected
 
+    def test_public_path_is_the_command_path(self):
+        # a point of the L = 8 window that ehm-scan solves: the public
+        # constructor's solve is the one bond_scan makes on its reused operator
+        chain = lattice.ChainSpec(8, 4, 4, u=6.0, v=2.5)
+        point = replace(chain, v=3.1)
+        basis = lattice.sector_basis(8, 4, 4)
+        public = lattice.ground_state(lattice.build_hamiltonian(point, basis))
+        scanned = lattice.ground_state(lattice._SectorOperator(chain, basis).at(point))
+        assert np.array_equal(public.amplitudes, scanned.amplitudes)
+        assert (public.energy, public.energy_gap, public.residual, public.matvecs) == (
+            scanned.energy, scanned.energy_gap, scanned.residual, scanned.matvecs)
+        (row,) = lattice.bond_scan(chain, [6.0], [3.1], 4)
+        assert row["energy"] == public.energy
+
     def test_deep_cdw_collapse(self):
         # a dominant neighbor repulsion freezes the chain into the classical
         # charge-density-wave mixture, so both bond entanglements collapse
@@ -963,33 +947,26 @@ class TestBondScan:
 
 
 class TestMemoryPreflight:
-    @staticmethod
-    def size_estimate(chain):
-        basis = lattice.sector_basis(chain.length, chain.n_up, chain.n_dn)
-        k_up, k_dn = (lattice._species_hopping(states, chain.length, chain.bonds)
-                      for states in (basis.up_states, basis.dn_states))
-        return lattice._hamiltonian_size(k_up, k_dn)
-
     @pytest.mark.parametrize("chain", [lattice.ChainSpec(8, 4, 4, u=6.0, v=3.0),
                                        lattice.ChainSpec(5, 2, 3, u=2.0, v=0.7,
                                                          boundary="periodic")])
     def test_estimate_is_exact(self, chain):
-        h = lattice.build_hamiltonian(chain)
-        stored = h.data.nbytes + h.indices.nbytes + h.indptr.nbytes
-        assert self.size_estimate(chain) == (h.nnz, stored)
+        # no entry of these chains is zero, so the reference stores every one
+        assert lattice.build_hamiltonian(chain).nnz == kronecker_hamiltonian(chain).nnz
 
     def test_half_filled_l12_is_admitted(self):
-        nnz, stored = self.size_estimate(lattice.ChainSpec(12, 6, 6))
-        assert nnz == 11_099_088
-        assert stored <= lattice.MAX_HAMILTONIAN_BYTES
+        h = lattice.build_hamiltonian(lattice.ChainSpec(12, 6, 6))
+        assert h.nnz == 11_099_088
+        assert 8 * h.shape[0] * (lattice._krylov_rows(h.shape[0]) + lattice.SOLVE_VECTORS) <= (
+            lattice.MAX_HAMILTONIAN_BYTES)
 
     def test_half_filled_l14_is_refused(self):
-        # the estimate is checked first, so code without the preflight fails
-        # here instead of building the multi-gigabyte matrix
+        # the vector budget is checked before any sector vector is allocated,
+        # so code without the preflight fails here instead of allocating
+        # gigabytes
         chain = lattice.ChainSpec(14, 7, 7, u=6.0, v=3.0)
-        nnz, stored = self.size_estimate(chain)
-        assert stored > lattice.MAX_HAMILTONIAN_BYTES
-        with pytest.raises(OrbentError, match=rf"{nnz} nonzeros .* above the 512 MiB limit"):
+        with pytest.raises(OrbentError, match=r"\(176679360 nonzeros\) needs 9 vectors .* "
+                                              r"above the 512 MiB limit$"):
             lattice.build_hamiltonian(chain)
         with pytest.raises(OrbentError, match="above the 512 MiB limit"):
             lattice.bond_scan(chain, [6.0], [3.0], 7)

@@ -5,9 +5,9 @@ oracle's certify-or-refuse contract on arbitrary sectors, the simplex guard
 of the general sector solution and its refusal of a rounding-level closest
 weight, the state-file round trip and its rejection of malformed input, and
 the Lanczos ground state against dense diagonalization on small chains, the
-sector Hamiltonian's assembly against its Kronecker-sum construction, the
-matrix-free sector operator against that matrix, and its spin-flip-even
-product and solve against the full-space ones.
+matrix-free sector operator against the Kronecker-sum construction of the
+sector Hamiltonian, and its spin-flip-even product and solve against the
+full-space ones.
 Derandomized, so every run draws the same examples."""
 
 import contextlib
@@ -20,13 +20,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.sparse as sparse
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbent import cli, fock, lattice, oracle, sampling, ssr, stateio
 from orbent import entanglement as ent
 from orbent.errors import DegenerateSectorError, OracleConvergenceError, OrbentError
+
+from conftest import kronecker_hamiltonian
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -339,57 +340,14 @@ def small_chains(draw):
 @PROPERTY
 @given(chain=small_chains())
 def test_lanczos_ground_state_matches_dense(chain):
-    h = lattice.build_hamiltonian(chain)
-    levels = np.linalg.eigvalsh(h.toarray())
-    gs = lattice.ground_state(h, dense_cutoff=0)
+    levels = np.linalg.eigvalsh(kronecker_hamiltonian(chain).toarray())
+    gs = lattice.ground_state(lattice.build_hamiltonian(chain), dense_cutoff=0)
     assert abs(gs.energy - levels[0]) <= 1e-10
     assert gs.residual < lattice.RESIDUAL_TOL
     dense_gap = levels[1] - levels[0] if len(levels) > 1 else math.inf
     # between the two bounds the verdict may go either way at rounding level
     if dense_gap > 1e-6 or dense_gap < 1e-12:
         assert gs.degenerate == (dense_gap < lattice.DEGENERACY_TOL)
-
-
-def kronecker_hamiltonian(chain: lattice.ChainSpec) -> sparse.csr_matrix:
-    """The sector Hamiltonian as sparse sums: ``-t (K_up x 1 + 1 x K_dn) + diag``."""
-    basis = lattice.sector_basis(chain.length, chain.n_up, chain.n_dn)
-
-    def hopping(states):
-        n = len(states)
-        rows, cols, vals = [], [], []
-        for i, j in chain.bonds:
-            low, high = min(i, j), max(i, j)
-            between = ((1 << high) - 1) ^ ((1 << (low + 1)) - 1)
-            movable = np.nonzero(((states >> j) & 1 == 1) & ((states >> i) & 1 == 0))[0]
-            source = states[movable]
-            rows.append(np.searchsorted(states, source ^ ((1 << i) | (1 << j))))
-            cols.append(movable)
-            vals.append(1.0 - 2.0 * (np.bitwise_count(source & between) & 1))
-        hop = sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                                shape=(n, n))
-        return (hop + hop.T).tocsr()
-
-    k_up, k_dn = hopping(basis.up_states), hopping(basis.dn_states)
-    n_up, n_dn = k_up.shape[0], k_dn.shape[0]
-    kinetic = -chain.t_hop * (
-        sparse.kron(k_up, sparse.identity(n_dn, format="csr"), format="csr")
-        + sparse.kron(sparse.identity(n_up, format="csr"), k_dn, format="csr")
-    )
-    occ_up = lattice._occupancy(basis.up_states, chain.length).astype(np.float64)
-    occ_dn = lattice._occupancy(basis.dn_states, chain.length).astype(np.float64)
-    diag = np.zeros((n_up, n_dn))
-    if chain.u != 0.0:
-        diag += chain.u * (occ_up @ occ_dn.T)
-    if chain.v != 0.0:
-        shift = np.zeros((chain.length, chain.length))
-        for i, j in chain.bonds:
-            shift[i, j] += 1.0
-            shift[j, i] += 1.0
-        same_up = np.einsum("ak,kl,al->a", occ_up, shift, occ_up) / 2.0
-        same_dn = np.einsum("ak,kl,al->a", occ_dn, shift, occ_dn) / 2.0
-        cross = occ_up @ shift @ occ_dn.T
-        diag += chain.v * (same_up[:, None] + same_dn[None, :] + cross)
-    return (kinetic + sparse.diags(diag.ravel())).tocsr()
 
 
 @st.composite
@@ -405,22 +363,10 @@ def any_chains(draw):
 
 
 @PROPERTY
-@given(chain=any_chains())
-def test_assembly_matches_the_kronecker_sum(chain):
-    h = lattice.build_hamiltonian(chain)
-    reference = kronecker_hamiltonian(chain)
-    assert h.shape == reference.shape
-    for name in ("indptr", "indices", "data"):
-        got, expected = getattr(h, name), getattr(reference, name)
-        assert got.dtype == expected.dtype
-        assert np.array_equal(got, expected)
-
-
-@PROPERTY
 @given(chain=any_chains(), seed=st.integers(0, 2**32 - 1))
-def test_sector_operator_matches_the_csr_hamiltonian(chain, seed):
-    h = lattice.build_hamiltonian(chain)
-    operator = lattice._SectorOperator(chain)
+def test_sector_operator_matches_the_kronecker_hamiltonian(chain, seed):
+    h = kronecker_hamiltonian(chain)
+    operator = lattice.build_hamiltonian(chain)
     assert operator.shape == h.shape
     low, high = operator.interval
     norm = max(-low, high)
@@ -431,10 +377,16 @@ def test_sector_operator_matches_the_csr_hamiltonian(chain, seed):
     assert operator.apply(x, out) is out
     assert np.abs(out - h @ x).max() <= 1e-14 * norm
     assert np.array_equal(operator @ x, out)
-    csr_low, csr_high = lattice._CsrOperator(h).interval
+    # the union of the matrix's Gershgorin discs
+    diag = h.diagonal()
+    radius = abs(h) @ np.ones(h.shape[0]) - np.abs(diag)
+    csr_low, csr_high = float((diag - radius).min()), float((diag + radius).max())
     assert abs(low - csr_low) <= 1e-14 * norm and abs(high - csr_high) <= 1e-14 * norm
+    # the matrix stores no zero entry; the operator counts every hopping and diagonal slot
+    if chain.t_hop != 0.0 and diag.all():
+        assert operator.nnz == h.nnz
     if h.shape[0] <= 1000:
-        # the dense path diagonalizes the CSR matrix's dense form, zero signs included
+        # the dense path diagonalizes the matrix's dense form, zero signs included
         assert operator.toarray().tobytes() == h.toarray().tobytes()
 
 
@@ -483,7 +435,7 @@ def test_even_run_solve_matches_dense(chain):
     # the even run, the partner runs (odd ground states included) and the
     # diagonal operators of t_hop = 0 alike, every one solved
     operator = lattice._SectorOperator(chain)
-    levels = np.linalg.eigvalsh(operator.toarray())
+    levels = np.linalg.eigvalsh(kronecker_hamiltonian(chain).toarray())
     gs = lattice.ground_state(operator, dense_cutoff=0)
     norm = max(-operator.interval[0], operator.interval[1])
     assert abs(gs.energy - levels[0]) <= 1e-10 * max(1.0, norm)

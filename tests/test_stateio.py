@@ -92,6 +92,23 @@ class TestDocumentShape:
         with pytest.raises(ValueError, match="^field 're' must hold 16 rows of 16 numbers"):
             stateio.state_from_dict(data)
 
+    @pytest.mark.parametrize("key", ["re", "im"])
+    @pytest.mark.parametrize("entry", [True, False])
+    def test_boolean_entries_are_named(self, key, entry):
+        # true on the diagonal of |0><0| would load as the pure state itself,
+        # false off the diagonal as a zero; as whole fields, numpy reads them
+        # as booleans
+        data = self.document()
+        data["re"] = np.diag([1.0] + [0.0] * 15).tolist()
+        data["im"] = np.zeros((16, 16)).tolist()
+        data[key][0][0 if entry else 1] = entry
+        message = f"^field '{key}' must hold 16 rows of 16 numbers: entries of type bool$"
+        with pytest.raises(ValueError, match=message):
+            stateio.state_from_dict(data)
+        data[key] = [[entry] * 16 for _ in range(16)]
+        with pytest.raises(ValueError, match=message):
+            stateio.state_from_dict(data)
+
     def test_integer_beyond_the_float_range_is_named(self):
         data = self.document()
         data["im"][0][1] = 10**400
