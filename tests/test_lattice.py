@@ -195,6 +195,33 @@ class TestGroundState:
         gs = lattice.ground_state(lattice.build_hamiltonian(lattice.ChainSpec(4, 2, 2, u=4.0)))
         assert gs.matvecs == 0
 
+    @pytest.mark.parametrize("length, filling", [(4, 2), (6, 2), (8, 4)])
+    def test_lanczos_resolves_four_fold_multiplet(self, length, filling):
+        # free rings with one electron per spin in a two-fold level: the
+        # ground multiplet has four states, more than the first Lanczos
+        # solve returns, so four vectors mean the wider solve ran.  With the
+        # spin-flip sector switched off, the ground run is the full-space one
+        # of a sector with n_up != n_dn.
+        chain = lattice.ChainSpec(length, filling, filling, boundary="periodic")
+        h = lattice.build_hamiltonian(chain)
+        h.spin_flip = False
+        gs = lattice.ground_state(h, dense_cutoff=10)
+        ring = np.sort(-2.0 * np.cos(2.0 * np.pi * np.arange(length) / length))
+        assert gs.energy == pytest.approx(2.0 * ring[:filling].sum(), abs=1e-10)
+        assert gs.degenerate and len(gs.multiplet) == 4
+        if h.shape[0] <= lattice.DENSE_CUTOFF:  # the L=8 dense solve takes seconds
+            dense = lattice.ground_state(h)
+            assert gs.energy == pytest.approx(dense.energy, abs=1e-10)
+            assert len(dense.multiplet) == 4
+            # both paths' multiplets span one space
+            lanczos, exact = (np.array(s.multiplet) for s in (gs, dense))
+            assert np.abs(lanczos.T @ lanczos - exact.T @ exact).max() < 1e-8
+        overlaps = np.array([[v @ w for w in gs.multiplet] for v in gs.multiplet])
+        assert np.abs(overlaps - np.eye(4)).max() < 1e-10
+        reference = kronecker_hamiltonian(chain)
+        for v in gs.multiplet:
+            assert np.linalg.norm(reference @ v - gs.energy * v) < lattice.RESIDUAL_TOL
+
 
 def _arpack_reference(h, seed=7):
     """The two lowest levels and the ground vector of the matrix ``h`` by ARPACK,
@@ -275,6 +302,7 @@ class TestLanczosSolver:
         with pytest.raises(OrbentError, match="did not converge in 15 Lanczos steps"):
             lattice.ground_state(h, dense_cutoff=10)
 
+    @pytest.mark.parametrize("spin_flip", [False, True])
     @pytest.mark.parametrize("u, error, message", [
         # a norm bound of about 20 leaves the certificate far above rounding
         (4.0, OrbentError, r"^eigensolver residual \S+ too large$"),
@@ -282,7 +310,7 @@ class TestLanczosSolver:
                           r"residual certificate out of reach, below rounding at the "
                           r"Hamiltonian's Gershgorin norm bound 3\.000e\+09$"),
     ])
-    def test_residual_refusal_names_its_cause(self, u, error, message, monkeypatch):
+    def test_residual_refusal_names_its_cause(self, u, error, message, spin_flip, monkeypatch):
         # a Ritz value 1e-3 off: a solver failure, unless the couplings put the
         # residual certificate below rounding anyway
         run = lattice._lanczos_lowest
@@ -292,7 +320,9 @@ class TestLanczosSolver:
             return (theta + 1e-3, *rest)
 
         monkeypatch.setattr(lattice, "_lanczos_lowest", off)
+        # with the spin-flip sector off, the ground run is the full-space one
         h = lattice.build_hamiltonian(lattice.ChainSpec(6, 3, 3, u=u))
+        h.spin_flip = spin_flip
         with pytest.raises(error, match=message) as caught:
             lattice.ground_state(h, dense_cutoff=10)
         assert isinstance(caught.value, OrbentError) == (error is OrbentError)
@@ -464,10 +494,13 @@ class TestLanczosSolver:
         assert np.abs(overlaps - np.eye(36)).max() < 1e-12
         assert abs(gs.energy) < 1e-150 and abs(gs.energy_gap) < 1e-150
 
-    def test_diagonal_operator_gives_its_lowest_unit_vectors(self):
-        # t = 0: every unit vector at the lowest level, 38 of the 400
+    @pytest.mark.parametrize("spin_flip", [False, True])
+    def test_diagonal_operator_gives_its_lowest_unit_vectors(self, spin_flip):
+        # t = 0: every unit vector at the lowest level, 38 of the 400, whether
+        # the ground run that finds the level is spin-flip-even or full-space
         chain = lattice.ChainSpec(6, 3, 3, t_hop=0.0, u=2.0, v=1.0)
         h = lattice.build_hamiltonian(chain)
+        h.spin_flip = spin_flip
         diagonal = h @ np.ones(h.shape[0])
         gs = lattice.ground_state(h, dense_cutoff=0)
         assert gs.energy == diagonal.min() == 5.0
@@ -475,8 +508,9 @@ class TestLanczosSolver:
         assert len(gs.multiplet) == np.count_nonzero(diagonal == 5.0) == 38
         for v in gs.multiplet:
             assert np.count_nonzero(v) == 1 and diagonal[np.argmax(v)] == 5.0 and v.max() == 1.0
-        assert_solves_without_arpack("""
+        assert_solves_without_arpack(f"""
             h = lattice.build_hamiltonian(lattice.ChainSpec(6, 3, 3, t_hop=0.0, u=2.0, v=1.0))
+            h.spin_flip = {spin_flip}
             assert len(lattice.ground_state(h, dense_cutoff=0).multiplet) == 38
         """)
 
@@ -545,6 +579,41 @@ class TestLanczosSolver:
         assert gs.energy == pytest.approx(energies[0], abs=1e-12)
         assert gs.energy_gap == pytest.approx(energies[1] - energies[0], abs=1e-9)
         assert gs.residual < 1e-10 and not gs.degenerate
+
+
+class TestSparseKernel:
+    """The operator's products call scipy's private ``csr_matvecs`` kernel
+    directly; a scipy release that changes its arguments or what ``@``
+    computes shows up here."""
+
+    @pytest.mark.parametrize("chain", [
+        lattice.ChainSpec(4, 2, 2, u=4.0, v=1.0, boundary="periodic"),
+        lattice.ChainSpec(6, 3, 2, t_hop=0.7, u=-2.0),
+        lattice.ChainSpec(8, 4, 4, u=6.0, v=3.0),
+        lattice.ChainSpec(8, 4, 4, t_hop=0.0, u=6.0),
+        lattice.ChainSpec(10, 5, 5, u=6.0, v=3.0),
+    ])
+    def test_products_match_scipy_bit_for_bit(self, chain):
+        import scipy.sparse as sparse
+
+        operator = lattice.build_hamiltonian(chain)
+        n_up, n_dn = operator._n
+        x = np.random.default_rng(chain.length).normal(size=(n_up, n_dn))
+        # each species' scaled hopping, as the operator hands it to the
+        # kernel, times a block of vectors: added onto zeros, scipy's product
+        for (indptr, indices, data), block in ((operator._up, x), (operator._dn, x.T.copy())):
+            n, vectors = block.shape
+            hopping = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+            out = np.zeros((n, vectors))
+            lattice.csr_matvecs(n, n, vectors, indptr, indices, data, block, out)
+            assert np.array_equal(out, hopping @ block)
+        # the product zeroes what it writes into
+        out = np.full(n_up * n_dn, np.nan)
+        assert operator.apply(x.ravel(), out) is out
+        assert np.array_equal(out, operator @ x)
+        low, high = operator.interval
+        h = kronecker_hamiltonian(chain)
+        assert np.abs(out - h @ x.ravel()).max() <= 1e-14 * max(-low, high) * np.abs(x).max()
 
 
 class TestSectorOperator:
