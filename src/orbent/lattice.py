@@ -57,7 +57,6 @@ LANCZOS_BASIS_BYTES = 16 * 2**20
 #: buffers.  The even run adds none: its start is made in the block's first
 #: row and its product uses one of the two buffers.
 SOLVE_VECTORS = 8
-DENSE_CUTOFF = 2000
 DEGENERACY_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
 #: A converged solve's residual is rounding times the operator's norm (about
@@ -257,8 +256,9 @@ class _SectorOperator:
     :meth:`at` reuses them, and the buffers, for another ``(U, V)``.
     :func:`ground_state` solves through ``apply`` and ``interval``, and, when
     ``spin_flip`` holds (``n_up == n_dn``), through ``apply_even`` in the
-    spin-flip-even sector ``X = X^T``; like a matrix the operator also has
-    ``shape``, ``dtype``, ``nnz``, ``@`` and ``toarray``.  Refuses, before any
+    spin-flip-even sector ``X = X^T``; when ``is_diagonal`` holds (``t_hop =
+    0``) it reads the levels off ``@``'s diagonal instead.  Like a matrix the
+    operator also has ``shape``, ``dtype`` and ``nnz``.  Refuses, before any
     sector-sized allocation, a sector whose Lanczos solve would hold more
     than :data:`MAX_HAMILTONIAN_BYTES` of vectors.
     """
@@ -358,23 +358,6 @@ class _SectorOperator:
         return self.apply(np.ascontiguousarray(x, dtype=np.float64).reshape(-1),
                           np.empty(self.shape[0]))
 
-    def toarray(self) -> np.ndarray:
-        n_up, n_dn = self._n
-        dense = np.zeros((n_up, n_dn, n_up, n_dn))
-        # a zero hopping (t_hop = 0) is +0.0, as in the Kronecker sum, not -0.0 times a sign
-        if self._t_hop != 0.0:
-            a, b = np.arange(n_up), np.arange(n_dn)
-            deg_up, deg_dn = self._degrees
-            _, indices, data = self._up
-            rows = np.repeat(a, deg_up)
-            dense[rows[:, None], b, indices[:, None], b] = data[:, None]
-            _, indices, data = self._dn
-            rows = np.repeat(b, deg_dn)
-            dense[a[:, None], rows, a[:, None], indices] = data
-        dense = dense.reshape(self.shape)
-        dense[np.diag_indices(self.shape[0])] = self._diag_t.T.ravel()
-        return dense
-
 
 def build_hamiltonian(chain: ChainSpec, basis: SectorBasis | None = None) -> _SectorOperator:
     """The real-symmetric sector Hamiltonian of ``chain``, the input of :func:`ground_state`.
@@ -394,10 +377,10 @@ class GroundState:
     ``degenerate``.  ``energy_gap`` is ``E1 - E0`` for the lowest level ``E1``
     that has an eigenvector orthogonal to ``amplitudes``, so a degenerate
     partner gives a gap of zero.  ``matvecs`` counts the products of the
-    iterative solver's Lanczos runs and of its Ritz rebuilds past the kept
-    Lanczos block, spin-flip-even and full-space alike (0 on the dense path;
-    the residual check is not counted).  A single-vector Lanczos run sees
-    only one vector of an eigenspace, and its lost orthogonality shows
+    Lanczos runs and of their Ritz rebuilds past the kept Lanczos block,
+    spin-flip-even and full-space alike (0 for a diagonal operator, which is
+    read off; the residual check is not counted).  A single-vector Lanczos
+    run sees only one vector of an eigenspace, and its lost orthogonality shows
     converged levels again as ghost copies, so its tridiagonal can say
     nothing about multiplicity (Cullum & Willoughby, *Lanczos Algorithms for
     Large Symmetric Eigenvalue Computations*, 1985): the gap and the
@@ -433,18 +416,25 @@ def _tridiagonal_lowest(alphas, betas):
     Makes the LAPACK calls of ``eigh_tridiagonal(alphas, betas, select="i",
     select_range=(0, 0))``, bisection (``stebz``) and inverse iteration
     (``stein``), with the same bits and without its argument handling.  Like
-    it, a non-finite entry raises ``ValueError``.
+    it, a non-finite entry raises ``ValueError``.  LAPACK's squares overflow
+    past about 1.3e154, so entries above ``2**500``, and only those, are first
+    scaled exactly by a power of two.
     """
     d = np.asarray_chkfinite(alphas, dtype=np.float64)
     e = np.asarray_chkfinite(betas, dtype=np.float64)
     if len(d) == 1:
         return d[0], np.ones(1)
+    scale = 1.0
+    largest = max(np.abs(d).max(), np.abs(e).max())
+    if largest > 2.0**500:
+        scale = 2.0 ** math.frexp(largest)[1]
+        d, e = d / scale, e / scale
     m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
     if info == 0:
         s, info = dstein(d, e, w[:m], iblock, isplit)
     if info:
         raise OrbentError(f"tridiagonal eigensolver failed (LAPACK info {info})")
-    return w[0], s[:, 0]
+    return w[0] * scale, s[:, 0]
 
 
 def _lanczos_lowest(apply, start: np.ndarray, tol: float, norm: float,
@@ -511,27 +501,26 @@ def _ritz_vector(apply, krylov: np.ndarray, s: np.ndarray, alphas, betas) -> np.
     return x
 
 
-def ground_state(hamiltonian: _SectorOperator, *, seed: int = 7,
-                 dense_cutoff: int = DENSE_CUTOFF) -> GroundState:
-    """Lowest eigenpair, dense below ``dense_cutoff``, else Lanczos with fixed seed.
+def ground_state(hamiltonian: _SectorOperator, *, seed: int = 7) -> GroundState:
+    """Lowest eigenpair by Lanczos with a fixed seed, for every sector size.
 
-    Above the cutoff, a plain three-term Lanczos run (Weiße & Fehske, Lect.
-    Notes Phys. 739 (2008), §3) from a seeded start finds ``E0`` to a Ritz
-    residual of ``GROUND_RITZ_TOL``.  The run keeps its Lanczos vectors in one
-    block of at most ``LANCZOS_BASIS_BYTES`` (every step of an L = 8 chain,
-    33 of an L = 10 one) and sums its Ritz vector from them; the steps past
-    the block are rebuilt by the recurrence from its last two rows, which
-    repeats their products and gives the same bits.  For an operator with
+    A plain three-term Lanczos run (Weiße & Fehske, Lect. Notes Phys. 739
+    (2008), §3) from a seeded start finds ``E0`` to a Ritz residual of
+    ``GROUND_RITZ_TOL``.  The run keeps its Lanczos vectors in one block of
+    at most ``LANCZOS_BASIS_BYTES`` (every step of an L = 8 chain, 33 of an
+    L = 10 one) and sums its Ritz vector from them; the steps past the block
+    are rebuilt by the recurrence from its last two rows, which repeats
+    their products and gives the same bits.  For an operator with
     ``spin_flip`` (``n_up == n_dn``), the run and the rebuild stay in the
     spin-flip-even sector, which holds the singlet ground states: they start
     from the even part of the seeded start and make each product with
-    ``apply_even``, one kernel call instead of two.  The gap comes from a
-    one-pass run, in the full space, from an independent seeded start on
-    ``H + s psi psi^T``, where ``s`` is a Gershgorin bound of the spectral
-    width: the shift lifts ``psi`` above the spectrum and leaves every other
-    level, so the lowest Ritz value of that run, to a residual of
-    ``GAP_RITZ_TOL``, is ``E1``.  A degenerate partner of ``psi``, odd ones
-    included, stays at ``E0`` there.
+    ``apply_even``, one kernel call instead of two, and even bit for bit.
+    The gap comes from a one-pass run, in the full space, from an
+    independent seeded start on ``H + s psi psi^T``, where ``s`` is a
+    Gershgorin bound of the spectral width: the shift lifts ``psi`` above the
+    spectrum and leaves every other level, so the lowest Ritz value of that
+    run, to a residual of ``GAP_RITZ_TOL``, is ``E1``.  A degenerate partner
+    of ``psi``, odd ones included, stays at ``E0`` there.
 
     Below ``E1 - E0 = DEGENERACY_TOL + GAP_RITZ_TOL``, which a Ritz value
     within its residual of a level cannot rule out, partner runs on ``H + s
@@ -541,25 +530,31 @@ def ground_state(hamiltonian: _SectorOperator, *, seed: int = 7,
     ``DEGENERACY_TOL`` of the lowest found adds its Ritz vector,
     orthogonalized against the others, until a level lies above (``E1``) or
     the vectors fill the sector; a spin-flip-odd ground state comes out the
-    same way.  A diagonal operator (``is_diagonal``: ``t_hop = 0``) gives the
-    shift no width, so it gives every unit vector at its lowest level
-    instead.  The multiplet counts against ``MAX_HAMILTONIAN_BYTES``.
+    same way.  A diagonal operator (``is_diagonal``: ``t_hop = 0``) makes no
+    run: its levels are its sorted diagonal, exactly, and its multiplet the
+    unit vectors at the lowest one.  The multiplet counts against
+    ``MAX_HAMILTONIAN_BYTES``.
 
     ``hamiltonian`` is the operator of :func:`build_hamiltonian`; anything
     else, a sparse matrix included, is refused with a ``TypeError``.  Every
     product the runs make is its ``apply`` (or ``apply_even``) into a vector
-    the run owns, the solver's norm bounds come from its Gershgorin
-    ``interval``, and the dense path diagonalizes its ``toarray``.  The
-    residual check is one full-space product.
+    the run owns, and the solver's norm bounds come from its Gershgorin
+    ``interval``.  The residual check is one full-space product, its norm
+    taken by ``dnrm2``, which scales and so never overflows.
     """
     if not isinstance(hamiltonian, _SectorOperator):
         raise TypeError(f"ground_state takes the sector operator of build_hamiltonian, "
                         f"not a {type(hamiltonian).__name__}")
     dim = hamiltonian.shape[0]
     matvecs = 0
-    if dim <= dense_cutoff:
-        levels, vectors = np.linalg.eigh(hamiltonian.toarray())
-        vectors = vectors.T
+    if hamiltonian.is_diagonal:
+        diagonal = hamiltonian @ np.ones(dim)
+        order = np.argsort(diagonal, kind="stable")
+        levels = diagonal[order]
+        members = int(np.count_nonzero(levels - levels[0] < DEGENERACY_TOL))
+        _check_vectors(dim, members, f"a ground multiplet of {members} states")
+        vectors = np.zeros((members, dim))
+        vectors[np.arange(members), order[:members]] = 1.0
     else:
         rng = np.random.default_rng(seed)
         v0 = rng.normal(size=dim)
@@ -604,16 +599,7 @@ def ground_state(hamiltonian: _SectorOperator, *, seed: int = 7,
             v1 = rng.normal(size=dim)
             v1 /= np.linalg.norm(v1)
             level = _lanczos_lowest(apply_deflated, v1, GAP_RITZ_TOL, norm + width)[0]
-        partners = level - e0 < DEGENERACY_TOL + GAP_RITZ_TOL
-        if partners and hamiltonian.is_diagonal:
-            diagonal = hamiltonian @ np.ones(dim)
-            order = np.argsort(diagonal, kind="stable")
-            levels, level = list(diagonal[order]), math.inf
-            members = int(np.count_nonzero(diagonal - levels[0] < DEGENERACY_TOL))
-            _check_vectors(dim, members, f"a ground multiplet of {members} states")
-            vectors = np.zeros((members, dim))
-            vectors[np.arange(members), order[:members]] = 1.0
-        elif partners:
+        if level - e0 < DEGENERACY_TOL + GAP_RITZ_TOL:
             krylov = np.empty((_krylov_rows(dim), dim))
             while len(vectors) < dim:
                 krylov[0] = rng.normal(size=dim)
@@ -638,7 +624,7 @@ def ground_state(hamiltonian: _SectorOperator, *, seed: int = 7,
     members = int(np.count_nonzero(levels - e0 < DEGENERACY_TOL))
     vectors = [vectors[i] for i in order[:members]]
     psi = vectors[0] / np.linalg.norm(vectors[0])
-    residual = float(np.linalg.norm(hamiltonian @ psi - e0 * psi))
+    residual = float(dnrm2(hamiltonian @ psi - e0 * psi))
     if residual > RESIDUAL_TOL:
         low, high = hamiltonian.interval
         norm = max(-low, high)
@@ -654,8 +640,7 @@ def ground_state(hamiltonian: _SectorOperator, *, seed: int = 7,
         residual=residual,
         degenerate=members > 1,
         energy_gap=gap,
-        # the runs' vectors are unit vectors already; the dense path's columns are copied out
-        multiplet=(psi, *map(np.ascontiguousarray, vectors[1:])),
+        multiplet=(psi, *vectors[1:]),
         matvecs=matvecs,
     )
 

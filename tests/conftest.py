@@ -27,12 +27,17 @@ def state_from_weights(weights, variant="number"):
     return fock.TwoOrbitalState((v * np.asarray(weights)) @ v.conj().T)
 
 
+def dense_form(operator) -> np.ndarray:
+    """The operator's matrix, column by column: its products of the unit vectors."""
+    return np.column_stack([operator @ unit for unit in np.eye(operator.shape[0])])
+
+
 def kronecker_hamiltonian(chain: lattice.ChainSpec) -> sparse.csr_matrix:
     """The sector Hamiltonian as the sparse Kronecker sum ``-t (K_up x 1 + 1 x K_dn) + diag``.
 
     Built apart from orbent's matrix-free operator, it is the reference the
-    tests check that operator's products, dense form, norm bounds, entry
-    count and spectrum against.  Like any sparse sum it stores no entry that
+    tests check that operator's products, norm bounds, entry count and
+    spectrum against.  Like any sparse sum it stores no entry that
     is exactly zero.
     """
     basis = lattice.sector_basis(chain.length, chain.n_up, chain.n_dn)

@@ -323,6 +323,10 @@ class TestScanCommands:
 
     @pytest.mark.parametrize("argv, norm", [
         (["ehm-scan", "--L", "8", "--U", "1e9", "--V", "0"], "4.000e+09"),
+        # past about 1.3e154, where LAPACK's squares of the tridiagonal overflow
+        (["ehm-scan", "--L", "8", "--U", "1e155", "--V", "0"], "4.000e+155"),
+        (["dimer", "--U", "1e12"], "1.000e+12"),
+        (["dimer", "--U", "1e155"], "1.000e+155"),
         (["dimer", "--U", "1e307"], "1.000e+307"),
     ])
     def test_couplings_beyond_the_residual_certificate_are_refused(self, argv, norm, capsys):
@@ -335,8 +339,7 @@ class TestScanCommands:
                             rf"Hamiltonian's Gershgorin norm bound {re.escape(norm)}\n", err)
 
     def test_zero_operator_is_refused_as_degenerate_at_every_length(self, capsys):
-        # t = U = V = 0 is the zero operator: dense at L=4, a zero-width
-        # Gershgorin interval above the dense cutoff
+        # t = U = V = 0 is the zero operator, read off its diagonal at every length
         refusals = []
         for length in ("4", "6", "8"):
             code, out, err = run(["ehm-scan", "--L", length, "--U", "0", "--V", "0",
@@ -353,6 +356,15 @@ class TestScanCommands:
                              capsys)
         assert code == cli.EXIT_FAILURE and out == ""
         assert err.startswith("error: ground state is degenerate: its energy gap 5.810e-11 is below")
+
+    @pytest.mark.parametrize("length", ["6", "8"])
+    def test_near_atomic_point_prints_a_row_at_l6_as_at_l8(self, length, capsys):
+        # t = 1e-4: the ground vector is spin-flip-even bit for bit at both
+        # lengths, so the pair states keep the symmetry the formula needs
+        code, out, err = run(["ehm-scan", "--L", length, "--U", "4", "--V", "1",
+                              "--t-hop", "1e-4"], capsys)
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1].startswith("4,1,")
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     @pytest.mark.parametrize("argv", [
@@ -386,9 +398,9 @@ class TestDimerCommand:
         assert payload["entanglement_parity_rule_nats"] >= payload["entanglement_number_rule_nats"]
 
     def test_degenerate_refusal_names_the_gap_and_the_api_argument(self, capsys):
-        # the singlet-triplet gap 4 t^2 / U falls below the degeneracy tolerance;
-        # no command averages over the multiplet, so the refusal names the API
-        code, out, err = run(["dimer", "--U", "1e12"], capsys)
+        # without hopping, the two singly occupied states share the lowest
+        # level; no command averages over the multiplet, so the refusal names the API
+        code, out, err = run(["dimer", "--U", "4", "--t-hop", "0"], capsys)
         assert code == cli.EXIT_FAILURE and out == ""
         assert re.fullmatch(r"error: ground state is degenerate: its energy gap \S+ is below "
                             r"DEGENERACY_TOL = 1e-10; the API argument on_degenerate=\"mixture\" "

@@ -15,7 +15,7 @@ from orbent import entanglement as ent
 from orbent import fock, free_fermion as ff, lattice, ssr
 from orbent.errors import DegenerateGroundStateError, OrbentError
 
-from conftest import kronecker_hamiltonian
+from conftest import dense_form, kronecker_hamiltonian
 
 LN2 = math.log(2.0)
 
@@ -79,7 +79,7 @@ class TestHamiltonian:
     def test_atomic_limit_is_diagonal(self):
         chain = lattice.ChainSpec(4, 2, 2, t_hop=0.0, u=3.0, v=1.5)
         basis = lattice.sector_basis(4, 2, 2)
-        h = lattice.build_hamiltonian(chain, basis).toarray()
+        h = dense_form(lattice.build_hamiltonian(chain, basis))
         assert np.abs(h - np.diag(np.diag(h))).max() == 0.0
         # |updown, updown, 0, 0>: two doublons on adjacent sites
         idx = basis.index(0b0011, 0b0011)
@@ -87,7 +87,7 @@ class TestHamiltonian:
 
     def test_hermitian(self):
         chain = lattice.ChainSpec(5, 2, 3, u=2.0, v=0.7, boundary="periodic")
-        h = lattice.build_hamiltonian(chain).toarray()
+        h = dense_form(lattice.build_hamiltonian(chain))
         assert np.array_equal(h, h.T)
 
     def test_dimer_free_energy(self):
@@ -123,13 +123,15 @@ class TestHamiltonian:
 class TestGroundState:
     def test_diagonal_operator(self):
         # t = 0: the lowest entry, 2 U for the two doublons on the end sites
-        # of a three-site chain, lies below the others (10, 13 and 14)
+        # of a three-site chain, lies below the others (10, 13 and 14); it is
+        # read off the diagonal, without a Lanczos run
         chain = lattice.ChainSpec(3, 2, 2, t_hop=0.0, u=1.0, v=3.0)
         basis = lattice.sector_basis(3, 2, 2)
         gs = lattice.ground_state(lattice.build_hamiltonian(chain, basis))
         assert gs.energy == 2.0
         assert abs(abs(gs.amplitudes[basis.index(0b101, 0b101)]) - 1.0) < 1e-12
         assert not gs.degenerate
+        assert gs.matvecs == 0
 
     def test_a_sparse_matrix_is_refused_by_type(self):
         h = kronecker_hamiltonian(lattice.ChainSpec(4, 2, 2, u=4.0))
@@ -184,16 +186,11 @@ class TestGroundState:
 
     def test_lanczos_path_matches_dense(self):
         chain = lattice.ChainSpec(6, 3, 3, u=4.0, v=1.0)
-        h = lattice.build_hamiltonian(chain)
-        dense = lattice.ground_state(h, dense_cutoff=10**6)
-        sparse_gs = lattice.ground_state(h, dense_cutoff=10)
-        assert sparse_gs.energy == pytest.approx(dense.energy, abs=1e-9)
-        assert sparse_gs.energy_gap == pytest.approx(dense.energy_gap, abs=1e-9)
-        assert not sparse_gs.degenerate and len(sparse_gs.multiplet) == 1
-
-    def test_dense_path_spends_no_matvecs(self):
-        gs = lattice.ground_state(lattice.build_hamiltonian(lattice.ChainSpec(4, 2, 2, u=4.0)))
-        assert gs.matvecs == 0
+        energies = np.linalg.eigh(kronecker_hamiltonian(chain).toarray())[0]
+        gs = lattice.ground_state(lattice.build_hamiltonian(chain))
+        assert gs.energy == pytest.approx(energies[0], abs=1e-9)
+        assert gs.energy_gap == pytest.approx(energies[1] - energies[0], abs=1e-9)
+        assert not gs.degenerate and len(gs.multiplet) == 1
 
     @pytest.mark.parametrize("length, filling", [(4, 2), (6, 2), (8, 4)])
     def test_lanczos_resolves_four_fold_multiplet(self, length, filling):
@@ -205,17 +202,18 @@ class TestGroundState:
         chain = lattice.ChainSpec(length, filling, filling, boundary="periodic")
         h = lattice.build_hamiltonian(chain)
         h.spin_flip = False
-        gs = lattice.ground_state(h, dense_cutoff=10)
+        gs = lattice.ground_state(h)
         ring = np.sort(-2.0 * np.cos(2.0 * np.pi * np.arange(length) / length))
         assert gs.energy == pytest.approx(2.0 * ring[:filling].sum(), abs=1e-10)
         assert gs.degenerate and len(gs.multiplet) == 4
-        if h.shape[0] <= lattice.DENSE_CUTOFF:  # the L=8 dense solve takes seconds
-            dense = lattice.ground_state(h)
-            assert gs.energy == pytest.approx(dense.energy, abs=1e-10)
-            assert len(dense.multiplet) == 4
-            # both paths' multiplets span one space
-            lanczos, exact = (np.array(s.multiplet) for s in (gs, dense))
-            assert np.abs(lanczos.T @ lanczos - exact.T @ exact).max() < 1e-8
+        if length < 8:  # the L=8 dense solve takes seconds
+            energies, vectors = np.linalg.eigh(kronecker_hamiltonian(chain).toarray())
+            assert gs.energy == pytest.approx(energies[0], abs=1e-10)
+            exact = vectors[:, energies - energies[0] < lattice.DEGENERACY_TOL]
+            assert exact.shape[1] == 4
+            # the multiplet and the dense eigenvectors of the level span one space
+            lanczos = np.array(gs.multiplet)
+            assert np.abs(lanczos.T @ lanczos - exact @ exact.T).max() < 1e-8
         overlaps = np.array([[v @ w for w in gs.multiplet] for v in gs.multiplet])
         assert np.abs(overlaps - np.eye(4)).max() < 1e-10
         reference = kronecker_hamiltonian(chain)
@@ -254,7 +252,7 @@ class TestLanczosSolver:
     def test_l6_matches_dense_and_arpack(self, u, v):
         chain = lattice.ChainSpec(6, 3, 3, u=u, v=v)
         operator = lattice.build_hamiltonian(chain)
-        gs = lattice.ground_state(operator, dense_cutoff=10)
+        gs = lattice.ground_state(operator)
         assert gs.matvecs > 0
         h = kronecker_hamiltonian(chain)
         energies, vectors = np.linalg.eigh(h.toarray())
@@ -279,13 +277,13 @@ class TestLanczosSolver:
     def test_gapped_chains_make_no_partner_runs(self, run_steps):
         for chain in (lattice.ChainSpec(8, 4, 4, u=6.0, v=3.0), lattice.ChainSpec(6, 3, 3, u=4.0)):
             run_steps.clear()
-            gs = lattice.ground_state(lattice.build_hamiltonian(chain), dense_cutoff=10)
+            gs = lattice.ground_state(lattice.build_hamiltonian(chain))
             assert not gs.degenerate and gs.energy_gap > 0.1
             # the ground run and the gap run
             assert len(run_steps) == 2
         assert_solves_without_arpack("""
             for chain in (lattice.ChainSpec(8, 4, 4, u=6.0, v=3.0), lattice.ChainSpec(6, 3, 3, u=4.0)):
-                gs = lattice.ground_state(lattice.build_hamiltonian(chain), dense_cutoff=10)
+                gs = lattice.ground_state(lattice.build_hamiltonian(chain))
                 assert not gs.degenerate and gs.energy_gap > 0.1
         """)
 
@@ -300,7 +298,7 @@ class TestLanczosSolver:
         monkeypatch.setattr(lattice, "LANCZOS_MAX_STEPS", 15)
         h = lattice.build_hamiltonian(lattice.ChainSpec(6, 3, 3, u=4.0, v=1.0))
         with pytest.raises(OrbentError, match="did not converge in 15 Lanczos steps"):
-            lattice.ground_state(h, dense_cutoff=10)
+            lattice.ground_state(h)
 
     @pytest.mark.parametrize("spin_flip", [False, True])
     @pytest.mark.parametrize("u, error, message", [
@@ -324,7 +322,7 @@ class TestLanczosSolver:
         h = lattice.build_hamiltonian(lattice.ChainSpec(6, 3, 3, u=u))
         h.spin_flip = spin_flip
         with pytest.raises(error, match=message) as caught:
-            lattice.ground_state(h, dense_cutoff=10)
+            lattice.ground_state(h)
         assert isinstance(caught.value, OrbentError) == (error is OrbentError)
 
     @pytest.fixture
@@ -344,10 +342,13 @@ class TestLanczosSolver:
     def test_repeated_diagonal_closes_the_krylov_space(self, run_steps):
         # t = 0 and four distinct entries, 2, 10, 13 and 14, on nine states:
         # each run ends when its Krylov space closes, before the first
-        # periodic check, and never divides by the zero beta
+        # periodic check, and never divides by the zero beta.  With the flag
+        # off, the diagonal operator is solved by the runs, not read off.
         chain = lattice.ChainSpec(3, 2, 2, t_hop=0.0, u=1.0, v=3.0)
         basis = lattice.sector_basis(3, 2, 2)
-        gs = lattice.ground_state(lattice.build_hamiltonian(chain, basis), dense_cutoff=0)
+        h = lattice.build_hamiltonian(chain, basis)
+        h.is_diagonal = False
+        gs = lattice.ground_state(h)
         # the shift lifts the ground vector onto the top entry: three levels are left
         assert run_steps == [4, 3]
         assert gs.energy == pytest.approx(2.0, abs=1e-14)
@@ -369,7 +370,7 @@ class TestLanczosSolver:
     def test_tiny_sectors_match_dense(self, chain, steps, run_steps):
         h = lattice.build_hamiltonian(chain)
         dim = h.shape[0]
-        gs = lattice.ground_state(h, dense_cutoff=0)
+        gs = lattice.ground_state(h)
         # each run closes where its Krylov space does, at a rounding-level beta
         assert run_steps == steps
         energies, vectors = np.linalg.eigh(kronecker_hamiltonian(chain).toarray())
@@ -382,29 +383,30 @@ class TestLanczosSolver:
     def test_periodic_l4_ring_closes_and_finds_its_multiplet(self, run_steps):
         # the free ring's four-fold level: each Lanczos run ends when its
         # Krylov space closes, and the partner runs give the whole multiplet
-        h = lattice.build_hamiltonian(lattice.ChainSpec(4, 2, 2, boundary="periodic"))
-        gs = lattice.ground_state(h, dense_cutoff=0)
-        dense = lattice.ground_state(h)
+        chain = lattice.ChainSpec(4, 2, 2, boundary="periodic")
+        gs = lattice.ground_state(lattice.build_hamiltonian(chain))
+        energies = np.linalg.eigh(kronecker_hamiltonian(chain).toarray())[0]
         # the ground and gap runs, three partners and the run that finds the level above
         assert len(run_steps) == 2 + 3 + 1 and max(run_steps) < lattice.LANCZOS_CHECK_EVERY
         # every run keeps all its vectors, so no Ritz vector costs a product
         assert gs.matvecs == sum(run_steps)
-        assert gs.energy == pytest.approx(dense.energy, abs=1e-12)
-        assert gs.degenerate and len(gs.multiplet) == len(dense.multiplet) == 4
+        assert gs.energy == pytest.approx(energies[0], abs=1e-12)
+        members = np.count_nonzero(energies - energies[0] < lattice.DEGENERACY_TOL)
+        assert gs.degenerate and len(gs.multiplet) == members == 4
         assert_solves_without_arpack("""
             h = lattice.build_hamiltonian(lattice.ChainSpec(4, 2, 2, boundary="periodic"))
-            assert len(lattice.ground_state(h, dense_cutoff=0).multiplet) == 4
+            assert len(lattice.ground_state(h).multiplet) == 4
         """)
 
     @staticmethod
     def keep_rows(monkeypatch, rows, dim):
         monkeypatch.setattr(lattice, "LANCZOS_BASIS_BYTES", rows * 8 * dim)
 
-    @pytest.mark.parametrize("chain, dense_cutoff", [
-        (lattice.ChainSpec(6, 3, 3, u=4.0, v=1.0), 10),
-        (lattice.ChainSpec(8, 4, 4, u=6.0, v=3.0), lattice.DENSE_CUTOFF),
+    @pytest.mark.parametrize("chain", [
+        lattice.ChainSpec(6, 3, 3, u=4.0, v=1.0),
+        lattice.ChainSpec(8, 4, 4, u=6.0, v=3.0),
     ])
-    def test_kept_rows_do_not_move_a_bit(self, chain, dense_cutoff, run_steps, monkeypatch):
+    def test_kept_rows_do_not_move_a_bit(self, chain, run_steps, monkeypatch):
         # the kept vectors are the ones the three-term rebuild makes, so
         # keeping 1, 3 or every row gives the same bits; only the rebuild's
         # products go away
@@ -414,7 +416,7 @@ class TestLanczosSolver:
         for rows in (1, 3, lattice.LANCZOS_MAX_STEPS):
             self.keep_rows(monkeypatch, rows, dim)
             run_steps.clear()
-            gs = lattice.ground_state(h, dense_cutoff=dense_cutoff)
+            gs = lattice.ground_state(h)
             ground, gap = run_steps
             assert gs.matvecs == ground + max(ground - rows, 0) + gap
             solves.append(gs)
@@ -471,14 +473,14 @@ class TestLanczosSolver:
         # one electron that cannot hop: the zero operator, whose unit vectors
         # fill the sector
         chain = lattice.ChainSpec(dim, 1, 0, t_hop=0.0)
-        gs = lattice.ground_state(lattice.build_hamiltonian(chain), dense_cutoff=0)
+        gs = lattice.ground_state(lattice.build_hamiltonian(chain))
         assert gs.energy == 0.0
         assert gs.degenerate and gs.energy_gap == 0.0 and len(gs.multiplet) == dim
         overlaps = np.array([[v @ w for w in gs.multiplet] for v in gs.multiplet])
         assert np.abs(overlaps - np.eye(dim)).max() < 1e-12
         assert_solves_without_arpack(f"""
             h = lattice.build_hamiltonian(lattice.ChainSpec({dim}, 1, 0, t_hop=0.0))
-            assert len(lattice.ground_state(h, dense_cutoff=0).multiplet) == {dim}
+            assert len(lattice.ground_state(h).multiplet) == {dim}
         """)
 
     def test_partner_runs_fill_a_sector_of_one_level(self, run_steps):
@@ -487,7 +489,7 @@ class TestLanczosSolver:
         # partner run finds the level again and its vector is orthogonalized
         # against the others, until they fill the 36 states
         chain = lattice.ChainSpec(4, 2, 2, t_hop=1e-160)
-        gs = lattice.ground_state(lattice._SectorOperator(chain), dense_cutoff=0)
+        gs = lattice.ground_state(lattice._SectorOperator(chain))
         assert len(run_steps) == 2 + 35
         assert gs.degenerate and len(gs.multiplet) == 36
         overlaps = np.array([[v @ w for w in gs.multiplet] for v in gs.multiplet])
@@ -496,14 +498,14 @@ class TestLanczosSolver:
 
     @pytest.mark.parametrize("spin_flip", [False, True])
     def test_diagonal_operator_gives_its_lowest_unit_vectors(self, spin_flip):
-        # t = 0: every unit vector at the lowest level, 38 of the 400, whether
-        # the ground run that finds the level is spin-flip-even or full-space
+        # t = 0: every unit vector at the lowest level, 38 of the 400, read
+        # off the diagonal whether or not the operator has the even sector
         chain = lattice.ChainSpec(6, 3, 3, t_hop=0.0, u=2.0, v=1.0)
         h = lattice.build_hamiltonian(chain)
         h.spin_flip = spin_flip
         diagonal = h @ np.ones(h.shape[0])
-        gs = lattice.ground_state(h, dense_cutoff=0)
-        assert gs.energy == diagonal.min() == 5.0
+        gs = lattice.ground_state(h)
+        assert gs.energy == diagonal.min() == 5.0 and gs.matvecs == 0
         assert gs.degenerate and gs.energy_gap == 0.0
         assert len(gs.multiplet) == np.count_nonzero(diagonal == 5.0) == 38
         for v in gs.multiplet:
@@ -511,7 +513,7 @@ class TestLanczosSolver:
         assert_solves_without_arpack(f"""
             h = lattice.build_hamiltonian(lattice.ChainSpec(6, 3, 3, t_hop=0.0, u=2.0, v=1.0))
             h.spin_flip = {spin_flip}
-            assert len(lattice.ground_state(h, dense_cutoff=0).multiplet) == 38
+            assert len(lattice.ground_state(h).multiplet) == 38
         """)
 
     def test_l8_diagonal_operator_gives_all_70_vectors(self):
@@ -529,28 +531,27 @@ class TestLanczosSolver:
     def test_nearly_diagonal_chains_match_dense(self, chain, members):
         # t = 1e-160 leaves the operator diagonal to rounding, but not flagged
         # so: the partner runs find the multiplet, whose level is 0
-        operator = lattice._SectorOperator(chain)
-        dense = lattice.ground_state(operator, dense_cutoff=10**6)
-        gs = lattice.ground_state(operator, dense_cutoff=0)
-        assert gs.energy == pytest.approx(dense.energy, abs=1e-12)
-        assert gs.degenerate and len(gs.multiplet) == len(dense.multiplet) == members
+        energies = np.linalg.eigh(kronecker_hamiltonian(chain).toarray())[0]
+        gs = lattice.ground_state(lattice._SectorOperator(chain))
+        assert gs.energy == pytest.approx(energies[0], abs=1e-12)
+        level = np.count_nonzero(energies - energies[0] < lattice.DEGENERACY_TOL)
+        assert gs.degenerate and len(gs.multiplet) == level == members
         overlaps = np.array([[v @ w for w in gs.multiplet] for v in gs.multiplet])
         assert np.abs(overlaps - np.eye(members)).max() < 1e-12
 
     def test_diagonal_multiplet_mixture_matches_the_dense_mixture(self):
         # the pair state averaged over the 38 unit vectors of the L = 6, t = 0
-        # level, against the average over the dense solve's eigenvectors (400
-        # states): any orthonormal basis of the level gives the same mixture
+        # level, against the average over the dense eigenvectors of the level
+        # (400 states): any orthonormal basis of the level gives the same mixture
         chain = lattice.ChainSpec(6, 3, 3, t_hop=0.0, u=2.0, v=1.0)
         basis = lattice.sector_basis(6, 3, 3)
-        operator = lattice._SectorOperator(chain, basis)
-        gs = lattice.ground_state(operator, dense_cutoff=0)
-        dense = lattice.ground_state(operator, dense_cutoff=10**6)
-        assert len(gs.multiplet) == len(dense.multiplet) == 38
+        gs = lattice.ground_state(lattice._SectorOperator(chain, basis))
+        energies, vectors = np.linalg.eigh(kronecker_hamiltonian(chain).toarray())
+        level = vectors[:, energies - energies[0] < lattice.DEGENERACY_TOL].T
+        assert len(gs.multiplet) == len(level) == 38
         for i, j in ((0, 1), (2, 3), (1, 4), (0, 5)):
-            mixture, expected = (lattice.two_orbital_rdm(state, basis, i, j,
-                                                         on_degenerate="mixture").matrix
-                                 for state in (gs, dense))
+            mixture = lattice.two_orbital_rdm(gs, basis, i, j, on_degenerate="mixture").matrix
+            expected = sum(lattice.two_orbital_rdm(v, basis, i, j).matrix for v in level) / len(level)
             assert np.abs(mixture - expected).max() < 1e-12
 
     def test_multiplet_past_the_budget_is_refused_by_name(self, monkeypatch):
@@ -565,7 +566,7 @@ class TestLanczosSolver:
         monkeypatch.setattr(lattice, "MAX_HAMILTONIAN_BYTES", 8 * 225 * (1000 + 8 + 2))
         with pytest.raises(OrbentError, match=r"^a ground multiplet of over 2 states needs 1011 "
                                               r"vectors in 2 MiB to solve"):
-            lattice.ground_state(lattice._SectorOperator(chain), dense_cutoff=10)
+            lattice.ground_state(lattice._SectorOperator(chain))
 
     def test_interacting_l4_ring_stops_where_its_krylov_space_closes(self, run_steps):
         # the ring's symmetries keep the ground run in fewer levels than the
@@ -573,7 +574,7 @@ class TestLanczosSolver:
         # instead of dividing by it and running on among ghost copies
         chain = lattice.ChainSpec(4, 2, 2, u=4.0, boundary="periodic")
         h = lattice.build_hamiltonian(chain)
-        gs = lattice.ground_state(h, dense_cutoff=0)
+        gs = lattice.ground_state(h)
         assert run_steps[0] < h.shape[0]
         energies = np.linalg.eigvalsh(kronecker_hamiltonian(chain).toarray())
         assert gs.energy == pytest.approx(energies[0], abs=1e-12)
@@ -619,34 +620,30 @@ class TestSparseKernel:
 class TestSectorOperator:
     """The matrix-free operator the ED commands solve through, against the Kronecker reference."""
 
-    @pytest.mark.parametrize("chain, dense_cutoff", [
-        (lattice.ChainSpec(8, 4, 4, u=6.0, v=3.0), lattice.DENSE_CUTOFF),
-        (lattice.ChainSpec(8, 4, 4, t_hop=-0.5, u=2.0, v=3.0), lattice.DENSE_CUTOFF),
-        (lattice.ChainSpec(7, 4, 2, t_hop=0.7, u=4.0, v=-1.0, boundary="periodic"), 10),
-        (lattice.ChainSpec(6, 3, 3, u=4.0, v=1.0), 10),
-        (lattice.ChainSpec(6, 3, 3, u=4.0, v=1.0), lattice.DENSE_CUTOFF),
-        (lattice.ChainSpec(10, 5, 5, u=6.0, v=3.0), lattice.DENSE_CUTOFF),
+    @pytest.mark.parametrize("chain", [
+        lattice.ChainSpec(8, 4, 4, u=6.0, v=3.0),
+        lattice.ChainSpec(8, 4, 4, t_hop=-0.5, u=2.0, v=3.0),
+        lattice.ChainSpec(7, 4, 2, t_hop=0.7, u=4.0, v=-1.0, boundary="periodic"),
+        lattice.ChainSpec(6, 3, 3, u=4.0, v=1.0),
+        lattice.ChainSpec(10, 5, 5, u=6.0, v=3.0),
     ])
-    def test_solves_match_the_kronecker_reference(self, chain, dense_cutoff):
-        # the reference: the Kronecker matrix's dense eigenpairs up to
-        # DENSE_CUTOFF states, ARPACK's ground pair and next level above
+    def test_solves_match_the_kronecker_reference(self, chain):
+        # the reference: the Kronecker matrix's dense eigenpairs below L = 8,
+        # whose dense solve takes seconds, ARPACK's ground pair and next level above
         basis = lattice.sector_basis(chain.length, chain.n_up, chain.n_dn)
         h = kronecker_hamiltonian(chain)
-        if basis.dim <= lattice.DENSE_CUTOFF:
+        if chain.length < 8:
             energies, vectors = np.linalg.eigh(h.toarray())
         else:
             energies, vector = _arpack_reference(h)
             vectors = vector[:, None]
         members = int(np.count_nonzero(energies - energies[0] < lattice.DEGENERACY_TOL))
-        gs = lattice.ground_state(lattice._SectorOperator(chain, basis), dense_cutoff=dense_cutoff)
+        gs = lattice.ground_state(lattice._SectorOperator(chain, basis))
         assert gs.energy == pytest.approx(energies[0], abs=1e-11)
         assert gs.energy_gap == pytest.approx(energies[1] - energies[0], abs=1e-9)
         assert gs.degenerate == (members > 1) and len(gs.multiplet) == members
         assert gs.residual < 1e-12
         assert np.linalg.norm(h @ gs.amplitudes - gs.energy * gs.amplitudes) < 1e-12
-        if basis.dim <= dense_cutoff:
-            # the dense solve of the same dense matrix: the same bits
-            assert np.array_equal(gs.amplitudes, vectors[:, 0] / np.linalg.norm(vectors[:, 0]))
         # a degenerate multiplet's vectors differ between the solves, its average does not
         for i in range(chain.length - 1):
             rdm = lattice.two_orbital_rdm(gs, basis, i, i + 1, on_degenerate="mixture").matrix
@@ -675,7 +672,7 @@ class TestSectorOperator:
         # so four vectors mean the partner runs ran
         chain = lattice.ChainSpec(length, filling, filling, boundary="periodic")
         levels = self.record_levels(monkeypatch)
-        gs = lattice.ground_state(lattice._SectorOperator(chain), dense_cutoff=10)
+        gs = lattice.ground_state(lattice._SectorOperator(chain))
         # the even run, the gap run at its level, three partner runs there
         # and one above
         assert len(levels) == 6
@@ -683,8 +680,7 @@ class TestSectorOperator:
         assert levels[5] - gs.energy > 0.1
         assert_solves_without_arpack(f"""
             chain = lattice.ChainSpec({length}, {filling}, {filling}, boundary="periodic")
-            assert len(lattice.ground_state(lattice._SectorOperator(chain), dense_cutoff=10)
-                       .multiplet) == 4
+            assert len(lattice.ground_state(lattice._SectorOperator(chain)).multiplet) == 4
         """)
         ring = np.sort(-2.0 * np.cos(2.0 * np.pi * np.arange(length) / length))
         assert gs.energy == pytest.approx(2.0 * ring[:filling].sum(), abs=1e-10)
@@ -694,7 +690,7 @@ class TestSectorOperator:
         h = kronecker_hamiltonian(chain)
         for v in gs.multiplet:
             assert np.linalg.norm(h @ v - gs.energy * v) < lattice.RESIDUAL_TOL
-        if h.shape[0] <= lattice.DENSE_CUTOFF:  # the L=8 dense solve takes seconds
+        if length < 8:  # the L=8 dense solve takes seconds
             levels = np.linalg.eigvalsh(h.toarray())
             assert gs.energy == pytest.approx(levels[0], abs=1e-10)
             assert np.count_nonzero(levels - levels[0] < lattice.DEGENERACY_TOL) == 4
@@ -749,6 +745,14 @@ class TestSectorOperator:
         n = operator._n[0]
         assert np.array_equal(gs.amplitudes.reshape(n, n), gs.amplitudes.reshape(n, n).T)
 
+    def test_near_atomic_ground_state_is_even_bit_for_bit(self):
+        # t = 1e-4 at L = 6: the even run's vector is X = X^T to the last
+        # bit, so rounding cannot break the pair states' spin symmetry
+        chain = lattice.ChainSpec(6, 3, 3, t_hop=1e-4, u=4.0, v=1.0)
+        gs = lattice.ground_state(lattice.build_hamiltonian(chain))
+        x = gs.amplitudes.reshape(20, 20)
+        assert np.array_equal(x, x.T)
+
     @pytest.mark.parametrize("chain, even_level", [
         # dim 225: the lowest even level is -4.420, the odd ground state 0.278 below
         (lattice.ChainSpec(6, 2, 2, u=4.0, boundary="periodic"), -4.42014294995393),
@@ -758,19 +762,20 @@ class TestSectorOperator:
     def test_odd_ground_state_comes_out_of_the_partner_runs(self, chain, even_level,
                                                             monkeypatch):
         operator = lattice._SectorOperator(chain)
-        dense = lattice.ground_state(operator, dense_cutoff=10**6)
+        energies = np.linalg.eigh(kronecker_hamiltonian(chain).toarray())[0]
+        dense_gap = energies[1] - energies[0]
         levels = self.record_levels(monkeypatch)
-        gs = lattice.ground_state(operator, dense_cutoff=0)
+        gs = lattice.ground_state(operator)
         # the even run, then the gap run below it; one partner run finds the
         # odd ground state, and the next the level above it
         assert len(levels) == 4
         assert levels[0] == pytest.approx(even_level, abs=1e-10)
         assert levels[1] < levels[0] - lattice.DEGENERACY_TOL
-        assert levels[2] == pytest.approx(dense.energy, abs=1e-11)
-        assert levels[3] - levels[2] == pytest.approx(dense.energy_gap, abs=1e-9)
-        assert gs.energy == pytest.approx(dense.energy, abs=1e-11)
-        assert gs.energy_gap == pytest.approx(dense.energy_gap, abs=1e-9)
-        assert not gs.degenerate and not dense.degenerate
+        assert levels[2] == pytest.approx(energies[0], abs=1e-11)
+        assert levels[3] - levels[2] == pytest.approx(dense_gap, abs=1e-9)
+        assert gs.energy == pytest.approx(energies[0], abs=1e-11)
+        assert gs.energy_gap == pytest.approx(dense_gap, abs=1e-9)
+        assert not gs.degenerate and dense_gap >= lattice.DEGENERACY_TOL
         assert gs.residual < 1e-12
         n = operator._n[0]
         odd = gs.amplitudes.reshape(n, n)
@@ -782,7 +787,7 @@ class TestSectorOperator:
         reused = lattice._SectorOperator(chain).at(point)
         fresh = lattice._SectorOperator(point)
         assert reused.interval == fresh.interval
-        assert reused.toarray().tobytes() == fresh.toarray().tobytes()
+        assert dense_form(reused).tobytes() == dense_form(fresh).tobytes()
         x = np.random.default_rng(5).normal(size=reused.shape[0])
         assert np.array_equal(reused @ x, fresh @ x)
 
