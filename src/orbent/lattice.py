@@ -13,10 +13,11 @@ from __future__ import annotations
 import copy
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sparse
 from scipy.linalg.blas import daxpy, ddot, dnrm2
 from scipy.linalg.lapack import dstebz, dstein
 from scipy.sparse._sparsetools import csr_matvecs
@@ -164,10 +165,11 @@ def _occupancy(states: np.ndarray, length: int) -> np.ndarray:
     return ((states[:, None] >> sites[None, :]) & 1).astype(np.int8)
 
 
-def _species_hopping(states: np.ndarray, length: int, bonds) -> sparse.csr_matrix:
+def _species_hopping(states: np.ndarray, length: int, bonds):
     """Single-species operator ``sum_bonds (f+_i f_j + f+_j f_i)`` with JW signs.
 
-    Canonical CSR (sorted columns, no duplicates), with 4-byte indices.
+    Returns the ``(indptr, indices, data)`` arrays of its canonical CSR form
+    (sorted columns, no duplicates), with 4-byte indices.
     """
     n = len(states)
     rows, cols, vals = [], [], []
@@ -190,14 +192,7 @@ def _species_hopping(states: np.ndarray, length: int, bonds) -> sparse.csr_matri
     order = np.lexsort((cols, rows))
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return sparse.csr_matrix((vals[order], cols[order].astype(np.int32), indptr), shape=(n, n))
-
-
-def _sector_hoppings(chain: ChainSpec, basis: SectorBasis):
-    """The up and down hoppings of the sector: one matrix for both when ``n_up == n_dn``."""
-    k_up = _species_hopping(basis.up_states, chain.length, chain.bonds)
-    return k_up, (k_up if chain.n_up == chain.n_dn
-                  else _species_hopping(basis.dn_states, chain.length, chain.bonds))
+    return indptr, cols[order].astype(np.int32), vals[order]
 
 
 def _interaction_diagonal(chain: ChainSpec, occ_up: np.ndarray, occ_dn: np.ndarray) -> np.ndarray:
@@ -258,32 +253,35 @@ class _SectorOperator:
     ``spin_flip`` holds (``n_up == n_dn``), through ``apply_even`` in the
     spin-flip-even sector ``X = X^T``; when ``is_diagonal`` holds (``t_hop =
     0``) it reads the levels off ``@``'s diagonal instead.  Like a matrix the
-    operator also has ``shape``, ``dtype`` and ``nnz``.  Refuses, before any
+    operator also has ``shape`` and ``nnz``.  Refuses, before any
     sector-sized allocation, a sector whose Lanczos solve would hold more
     than :data:`MAX_HAMILTONIAN_BYTES` of vectors.
     """
 
-    dtype = np.dtype(np.float64)
-
     def __init__(self, chain: ChainSpec, basis: SectorBasis | None = None):
         if basis is None:
             basis = sector_basis(chain.length, chain.n_up, chain.n_dn)
-        k_up, k_dn = _sector_hoppings(chain, basis)
-        n_up, n_dn = k_up.shape[0], k_dn.shape[0]
+        # one hopping for both species when n_up == n_dn
+        k_up = _species_hopping(basis.up_states, chain.length, chain.bonds)
+        k_dn = (k_up if chain.n_up == chain.n_dn
+                else _species_hopping(basis.dn_states, chain.length, chain.bonds))
+        (up_indptr, _, up_data), (dn_indptr, _, dn_data) = k_up, k_dn
+        n_up, n_dn = len(up_indptr) - 1, len(dn_indptr) - 1
         dim = n_up * n_dn
         #: entries of the matrix form: each row's up and down hoppings and its
         #: diagonal slot (a hopping has none), counted where zero too (``t_hop = 0``)
-        self.nnz = k_up.nnz * n_dn + n_up * k_dn.nnz + dim
+        self.nnz = len(up_data) * n_dn + n_up * len(dn_data) + dim
         _check_vectors(dim, 0, f"sector of {dim} states ({self.nnz} nonzeros)")
         self.shape = (dim, dim)
         self._n = n_up, n_dn
         self._t_hop = chain.t_hop
-        self._up, self._dn = ((k.indptr, k.indices, -chain.t_hop * k.data) for k in (k_up, k_dn))
+        self._up, self._dn = ((indptr, indices, -chain.t_hop * data)
+                              for indptr, indices, data in (k_up, k_dn))
         #: both species share one hopping, and spin flip is the transpose of ``X``
         self.spin_flip = chain.n_up == chain.n_dn
         #: no hopping, so the unit vectors are eigenvectors
         self.is_diagonal = chain.t_hop == 0.0
-        self._degrees = np.diff(k_up.indptr), np.diff(k_dn.indptr)
+        self._degrees = np.diff(up_indptr), np.diff(dn_indptr)
         self._occupancy = _float_occupancy(basis)
         # the transposed input and the transposed diagonal and down hoppings' term
         self._xt, self._yt = np.empty((n_dn, n_up)), np.empty((n_dn, n_up))
@@ -370,21 +368,28 @@ def build_hamiltonian(chain: ChainSpec, basis: SectorBasis | None = None) -> _Se
 
 @dataclass(frozen=True)
 class GroundState:
-    """Lowest eigenpair of a sector Hamiltonian.
+    """Lowest eigenpair of a sector Hamiltonian and the verdict on its degeneracy.
 
-    ``multiplet`` holds every eigenvector found within ``DEGENERACY_TOL`` of
-    the lowest energy, the ground vector first; more than one makes the state
-    ``degenerate``.  ``energy_gap`` is ``E1 - E0`` for the lowest level ``E1``
-    that has an eigenvector orthogonal to ``amplitudes``, so a degenerate
-    partner gives a gap of zero.  ``matvecs`` counts the products of the
+    ``degenerate`` says that a level within ``DEGENERACY_TOL`` of ``energy``
+    has an eigenvector orthogonal to ``amplitudes``.  ``energy_gap`` is ``E1 -
+    E0`` for the lowest level ``E1`` found with such an eigenvector: the
+    level above for a gapped state, a partner's, below the tolerance, for a
+    degenerate one.  ``matvecs`` counts the products of the
     Lanczos runs and of their Ritz rebuilds past the kept Lanczos block,
-    spin-flip-even and full-space alike (0 for a diagonal operator, which is
-    read off; the residual check is not counted).  A single-vector Lanczos
-    run sees only one vector of an eigenspace, and its lost orthogonality shows
-    converged levels again as ghost copies, so its tridiagonal can say
-    nothing about multiplicity (Cullum & Willoughby, *Lanczos Algorithms for
-    Large Symmetric Eigenvalue Computations*, 1985): the gap and the
-    multiplet come from runs on deflated operators; see :func:`ground_state`.
+    spin-flip-even and full-space alike, up to the verdict (0 for a diagonal
+    operator, which is read off; the residual check is not counted).
+
+    ``multiplet`` holds the ground vector, then every other eigenvector found
+    within ``DEGENERACY_TOL`` of ``energy``: ``(amplitudes,)`` when the state
+    is gapped.  A degenerate state's is found on its first read, by the runs
+    that the verdict stopped, and counts against ``MAX_HAMILTONIAN_BYTES``
+    there; those products are not in ``matvecs``, and a failed read keeps the
+    vectors found for the next.  A single-vector Lanczos run sees only one
+    vector of an eigenspace, and its lost orthogonality shows converged
+    levels again as ghost copies, so its tridiagonal can say nothing about
+    multiplicity (Cullum & Willoughby, *Lanczos Algorithms for Large
+    Symmetric Eigenvalue Computations*, 1985): the gap and the multiplet come
+    from runs on deflated operators; see :func:`ground_state`.
     """
 
     energy: float
@@ -392,14 +397,19 @@ class GroundState:
     residual: float
     degenerate: bool
     energy_gap: float
-    multiplet: tuple
     matvecs: int
+    #: builds ``multiplet`` on its first read
+    _complete: Callable[[], tuple] = field(repr=False, compare=False)
 
     def __post_init__(self):
         if abs(np.linalg.norm(self.amplitudes) - 1.0) > 1e-12:
             raise ValueError("ground-state amplitudes must be normalized")
         if self.residual > RESIDUAL_TOL:
             raise OrbentError(f"eigensolver residual {self.residual:.3e} too large")
+
+    @cached_property
+    def multiplet(self) -> tuple:
+        return self._complete()
 
 
 def _three_term(w, q, q_prev, alpha, beta_prev):
@@ -526,14 +536,17 @@ def ground_state(hamiltonian: _SectorOperator, *, seed: int = 7) -> GroundState:
     within its residual of a level cannot rule out, partner runs on ``H + s
     sum v v^T`` over every vector ``v`` found so far settle the verdict: in
     the full space, from fresh seeded starts, to ``GROUND_RITZ_TOL`` with the
-    ground run's Krylov block and Ritz rebuild.  Each level within
-    ``DEGENERACY_TOL`` of the lowest found adds its Ritz vector,
-    orthogonalized against the others, until a level lies above (``E1``) or
-    the vectors fill the sector; a spin-flip-odd ground state comes out the
-    same way.  A diagonal operator (``is_diagonal``: ``t_hop = 0``) makes no
-    run: its levels are its sorted diagonal, exactly, and its multiplet the
-    unit vectors at the lowest one.  The multiplet counts against
-    ``MAX_HAMILTONIAN_BYTES``.
+    ground run's Krylov block and Ritz rebuild.  A level above the lowest
+    found by ``DEGENERACY_TOL`` or more is ``E1``.  A level below it by more
+    adds its Ritz vector, orthogonalized against the others, and the runs go
+    on; a spin-flip-odd ground state comes out the same way.  The first level
+    within ``DEGENERACY_TOL`` of the lowest adds its vector and settles the
+    verdict, degenerate: the solve returns there, holding no Krylov block,
+    and the first read of ``GroundState.multiplet`` resumes the runs until a
+    level lies above or the vectors fill the sector.  A diagonal operator
+    (``is_diagonal``: ``t_hop = 0``) makes no run: its levels are its sorted
+    diagonal, exactly, and its multiplet, made on that read, the unit
+    vectors at the lowest one.
 
     ``hamiltonian`` is the operator of :func:`build_hamiltonian`; anything
     else, a sparse matrix included, is refused with a ``TypeError``.  Every
@@ -551,10 +564,14 @@ def ground_state(hamiltonian: _SectorOperator, *, seed: int = 7) -> GroundState:
         diagonal = hamiltonian @ np.ones(dim)
         order = np.argsort(diagonal, kind="stable")
         levels = diagonal[order]
-        members = int(np.count_nonzero(levels - levels[0] < DEGENERACY_TOL))
-        _check_vectors(dim, members, f"a ground multiplet of {members} states")
-        vectors = np.zeros((members, dim))
-        vectors[np.arange(members), order[:members]] = 1.0
+        psi = np.zeros(dim)
+        psi[order[0]] = 1.0
+
+        def complete():
+            _check_vectors(dim, members, f"a ground multiplet of {members} states")
+            partners = np.zeros((members - 1, dim))
+            partners[np.arange(members - 1), order[1:members]] = 1.0
+            return (psi, *partners)
     else:
         rng = np.random.default_rng(seed)
         v0 = rng.normal(size=dim)
@@ -586,7 +603,7 @@ def ground_state(hamiltonian: _SectorOperator, *, seed: int = 7) -> GroundState:
         psi = _ritz_vector(ground_apply, krylov, s, alphas, betas)
         del krylov, start  # freed before the gap run, which keeps no basis
         psi /= np.linalg.norm(psi)
-        levels, vectors = [e0], [psi]
+        found, vectors = [e0], [psi]
 
         def apply_deflated(x, out):
             apply(x, out)
@@ -599,31 +616,48 @@ def ground_state(hamiltonian: _SectorOperator, *, seed: int = 7) -> GroundState:
             v1 = rng.normal(size=dim)
             v1 /= np.linalg.norm(v1)
             level = _lanczos_lowest(apply_deflated, v1, GAP_RITZ_TOL, norm + width)[0]
-        if level - e0 < DEGENERACY_TOL + GAP_RITZ_TOL:
-            krylov = np.empty((_krylov_rows(dim), dim))
+
+        def partner_runs():
+            """Partner runs up to the next vector within ``DEGENERACY_TOL`` of the lowest level,
+            or to the level above them (``inf`` for a full sector), which ends ``found``."""
             while len(vectors) < dim:
+                krylov = np.empty((_krylov_rows(dim), dim))
                 krylov[0] = rng.normal(size=dim)
                 krylov[0] /= np.linalg.norm(krylov[0])
                 level, s, alphas, betas = _lanczos_lowest(apply_deflated, krylov[0],
                                                           GROUND_RITZ_TOL, norm + width, krylov)
-                if level - min(levels) >= DEGENERACY_TOL:
-                    break
+                lowest = min(found)
+                if level - lowest >= DEGENERACY_TOL:
+                    found.append(level)
+                    return
                 _check_vectors(dim, len(vectors) + 1, f"a ground multiplet of over {len(vectors)} states")
                 partner = _ritz_vector(apply_deflated, krylov, s, alphas, betas)
                 for v in vectors:
                     daxpy(v, partner, a=-ddot(v, partner))
                 partner /= np.linalg.norm(partner)
-                levels.append(level)
+                found.append(level)
                 vectors.append(partner)
-                level = math.inf  # no level above the multiplet found yet
-        levels.append(level)
+                if level > lowest - DEGENERACY_TOL:
+                    return
+            found.append(math.inf)
 
-    order = np.argsort(levels, kind="stable")
-    levels = np.asarray(levels)[order]
+        if level - e0 < DEGENERACY_TOL + GAP_RITZ_TOL:
+            partner_runs()  # to the verdict
+        else:
+            found.append(level)
+
+        first = int(np.argmin(found))
+        levels, psi = np.sort(found), vectors[first] / np.linalg.norm(vectors[first])
+
+        def complete():
+            while len(found) == len(vectors):  # the runs stop at each vector on the level
+                partner_runs()
+            order = np.argsort(found[:len(vectors)], kind="stable")
+            return (psi, *(vectors[i] for i in order
+                           if i != first and abs(found[i] - levels[0]) < DEGENERACY_TOL))
+
     e0 = float(levels[0])
     members = int(np.count_nonzero(levels - e0 < DEGENERACY_TOL))
-    vectors = [vectors[i] for i in order[:members]]
-    psi = vectors[0] / np.linalg.norm(vectors[0])
     residual = float(dnrm2(hamiltonian @ psi - e0 * psi))
     if residual > RESIDUAL_TOL:
         low, high = hamiltonian.interval
@@ -640,8 +674,8 @@ def ground_state(hamiltonian: _SectorOperator, *, seed: int = 7) -> GroundState:
         residual=residual,
         degenerate=members > 1,
         energy_gap=gap,
-        multiplet=(psi, *vectors[1:]),
         matvecs=matvecs,
+        _complete=complete if members > 1 else lambda: (psi,),
     )
 
 
@@ -836,14 +870,15 @@ def dimer_analytics(u: float, v: float = 0.0, t_hop: float = 1.0, rule: str = "n
     """Half-filled two-site chain: exact energy and pair entanglement.
 
     The analytic ground energy ``(U+V)/2 - sqrt((U-V)^2/4 + 4 t^2)`` of the
-    singlet sector cross-checks the numerics.
+    singlet sector cross-checks the numerics; ``hypot`` takes the root
+    without squaring, so a hopping past 1e154 does not overflow it.
     """
     chain = ChainSpec(2, 1, 1, t_hop=t_hop, u=u, v=v)
     basis = sector_basis(2, 1, 1)
     gs = ground_state(_SectorOperator(chain, basis))
     rdm = two_orbital_rdm(gs, basis, 0, 1)
     result: EntanglementResult = orbital_entanglement(rdm, rule)
-    analytic = 0.5 * (u + v) - math.sqrt(0.25 * (u - v) ** 2 + 4.0 * t_hop**2)
+    analytic = 0.5 * (u + v) - math.hypot(0.5 * (u - v), 2.0 * t_hop)
     return {
         "u": u,
         "v": v,

@@ -339,15 +339,36 @@ class TestScanCommands:
                             rf"Hamiltonian's Gershgorin norm bound {re.escape(norm)}\n", err)
 
     def test_zero_operator_is_refused_as_degenerate_at_every_length(self, capsys):
-        # t = U = V = 0 is the zero operator, read off its diagonal at every length
+        # t = U = V = 0 is the zero operator, read off its diagonal at every
+        # length; at L = 10 its one level of 63,504 states would not fit the
+        # vector budget, but the refusal builds no multiplet
         refusals = []
-        for length in ("4", "6", "8"):
+        for length in ("4", "6", "8", "10"):
             code, out, err = run(["ehm-scan", "--L", length, "--U", "0", "--V", "0",
                                   "--t-hop", "0"], capsys)
             assert code == cli.EXIT_FAILURE and out == ""
             refusals.append(err)
         assert refusals[0].startswith("error: ground state is degenerate: its energy gap 0.000e+00")
-        assert refusals == refusals[:1] * 3
+        assert refusals == refusals[:1] * 4
+
+    def test_zero_operator_refusal_allocates_no_multiplet(self):
+        # the L = 8 refusal needs none of the 4,900 unit vectors (192 MB) of
+        # the level, so it peaks below 128 MiB.  Linux carries the peak of the
+        # process that starts an interpreter into the interpreter's own
+        # ru_maxrss, so the command runs as the only child of a bare one
+        probe = textwrap.dedent("""
+            import resource, subprocess, sys
+            argv = ["ehm-scan", "--L", "8", "--U", "0", "--V", "0", "--t-hop", "0"]
+            code = subprocess.run([sys.executable, "-m", "orbent.cli", *argv],
+                                  capture_output=True).returncode
+            print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(orbent.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        code, peak_kib = map(int, proc.stdout.split())
+        assert code == cli.EXIT_FAILURE
+        assert peak_kib < 128 * 1024
 
     def test_a_gap_below_the_gap_runs_residual_is_settled_by_partner_runs(self, capsys):
         # t = 1e-5: a gap of 5.8e-11, which the gap run's 1e-8 residual read as
@@ -388,6 +409,16 @@ class TestScanCommands:
 
 
 class TestDimerCommand:
+    def test_analytic_energy_of_a_huge_hopping_is_finite(self, capsys):
+        # 4 t^2 overflows a float past t = 1e154; the solve itself passes here
+        code, out, err = run(["dimer", "--U", "0", "--V", "0",
+                              "--t-hop", "6.579491862369723e+278"], capsys)
+        assert "Traceback" not in err
+        if code == cli.EXIT_OK:
+            assert math.isfinite(json.loads(out)["energy_analytic"])
+        else:
+            assert code == cli.EXIT_USAGE and out == "" and err.startswith("error: ")
+
     def test_values(self, capsys):
         code, out, _ = run(["dimer", "--U", "0"], capsys)
         assert code == 0

@@ -386,13 +386,15 @@ class TestLanczosSolver:
         chain = lattice.ChainSpec(4, 2, 2, boundary="periodic")
         gs = lattice.ground_state(lattice.build_hamiltonian(chain))
         energies = np.linalg.eigh(kronecker_hamiltonian(chain).toarray())[0]
-        # the ground and gap runs, three partners and the run that finds the level above
-        assert len(run_steps) == 2 + 3 + 1 and max(run_steps) < lattice.LANCZOS_CHECK_EVERY
+        # the verdict: the ground and gap runs and the first partner, at the level
+        assert len(run_steps) == 2 + 1 and gs.degenerate
         # every run keeps all its vectors, so no Ritz vector costs a product
         assert gs.matvecs == sum(run_steps)
-        assert gs.energy == pytest.approx(energies[0], abs=1e-12)
         members = np.count_nonzero(energies - energies[0] < lattice.DEGENERACY_TOL)
-        assert gs.degenerate and len(gs.multiplet) == members == 4
+        assert len(gs.multiplet) == members == 4
+        # the read adds two partners and the run that finds the level above
+        assert len(run_steps) == 2 + 3 + 1 and max(run_steps) < lattice.LANCZOS_CHECK_EVERY
+        assert gs.energy == pytest.approx(energies[0], abs=1e-12)
         assert_solves_without_arpack("""
             h = lattice.build_hamiltonian(lattice.ChainSpec(4, 2, 2, boundary="periodic"))
             assert len(lattice.ground_state(h).multiplet) == 4
@@ -483,6 +485,16 @@ class TestLanczosSolver:
             assert len(lattice.ground_state(h).multiplet) == {dim}
         """)
 
+    def test_degenerate_verdict_stops_at_the_first_partner_on_the_level(self, run_steps):
+        # t = 1e-5: a gap of 5.8e-11, below the gap run's residual; the first
+        # partner run lands within DEGENERACY_TOL and settles the verdict, and
+        # reading the multiplet resumes the runs until one finds the level above
+        chain = lattice.ChainSpec(8, 4, 4, t_hop=1e-5, u=4.0, v=1.0)
+        gs = lattice.ground_state(lattice.build_hamiltonian(chain))
+        assert gs.degenerate and len(run_steps) == 3
+        assert gs.matvecs == sum(run_steps) == 530
+        assert len(gs.multiplet) == 2 and len(run_steps) == 4
+
     def test_partner_runs_fill_a_sector_of_one_level(self, run_steps):
         # t = 1e-160 and U = V = 0: every level lies within DEGENERACY_TOL of
         # the lowest and the deflation's shift is far below it, so each
@@ -490,8 +502,8 @@ class TestLanczosSolver:
         # against the others, until they fill the 36 states
         chain = lattice.ChainSpec(4, 2, 2, t_hop=1e-160)
         gs = lattice.ground_state(lattice._SectorOperator(chain))
-        assert len(run_steps) == 2 + 35
         assert gs.degenerate and len(gs.multiplet) == 36
+        assert len(run_steps) == 2 + 35
         overlaps = np.array([[v @ w for w in gs.multiplet] for v in gs.multiplet])
         assert np.abs(overlaps - np.eye(36)).max() < 1e-12
         assert abs(gs.energy) < 1e-150 and abs(gs.energy_gap) < 1e-150
@@ -555,18 +567,27 @@ class TestLanczosSolver:
             assert np.abs(mixture - expected).max() < 1e-12
 
     def test_multiplet_past_the_budget_is_refused_by_name(self, monkeypatch):
-        # the zero operator at L = 10: a level of all 63,504 states
+        # the zero operator at L = 10: a level of all 63,504 states, refused
+        # when the multiplet is read
+        gs = lattice.ground_state(lattice._SectorOperator(lattice.ChainSpec(10, 5, 5, t_hop=0.0)))
+        assert gs.degenerate and gs.energy_gap == 0.0
         with pytest.raises(OrbentError, match=r"^a ground multiplet of 63504 states needs 63545 "
                                               r"vectors in 30787 MiB to solve, above the 512 MiB "
                                               r"limit$"):
-            lattice.ground_state(lattice._SectorOperator(lattice.ChainSpec(10, 5, 5, t_hop=0.0)))
+            gs.multiplet
         # the free L = 6 ring keeps 1,000 Lanczos rows and eight other
-        # vectors; a budget for two multiplet vectors refuses the third
+        # vectors; a budget for two multiplet vectors settles the verdict on
+        # the second and refuses the third
         chain = lattice.ChainSpec(6, 2, 2, boundary="periodic")
         monkeypatch.setattr(lattice, "MAX_HAMILTONIAN_BYTES", 8 * 225 * (1000 + 8 + 2))
+        gs = lattice.ground_state(lattice._SectorOperator(chain))
+        assert gs.degenerate
         with pytest.raises(OrbentError, match=r"^a ground multiplet of over 2 states needs 1011 "
                                               r"vectors in 2 MiB to solve"):
-            lattice.ground_state(lattice._SectorOperator(chain))
+            gs.multiplet
+        # the refused read keeps the two vectors it found; the next one goes on from them
+        monkeypatch.undo()
+        assert len(gs.multiplet) == 4
 
     def test_interacting_l4_ring_stops_where_its_krylov_space_closes(self, run_steps):
         # the ring's symmetries keep the ground run in fewer levels than the
@@ -673,8 +694,10 @@ class TestSectorOperator:
         chain = lattice.ChainSpec(length, filling, filling, boundary="periodic")
         levels = self.record_levels(monkeypatch)
         gs = lattice.ground_state(lattice._SectorOperator(chain))
-        # the even run, the gap run at its level, three partner runs there
-        # and one above
+        # the verdict: the even run, the gap run at its level and a partner
+        # run there; the read of the multiplet adds two more there and one above
+        assert len(levels) == 3 and gs.degenerate
+        assert len(gs.multiplet) == 4
         assert len(levels) == 6
         assert max(levels[:5]) - min(levels[:5]) < lattice.DEGENERACY_TOL
         assert levels[5] - gs.energy > 0.1
