@@ -246,8 +246,8 @@ def cmd_lmin(args: argparse.Namespace) -> int:
 
 
 def cmd_ehm_scan(args: argparse.Namespace) -> int:
-    # the ED stack loads scipy.sparse and scipy.linalg (the Lanczos runs' kernel,
-    # LAPACK and BLAS): only its commands pay
+    # the ED stack loads three of scipy's compiled modules (the Lanczos runs'
+    # sparse kernel, LAPACK and BLAS), not its packages: only its commands pay
     from . import lattice
 
     units, scale = _unit_scale(args)
@@ -266,8 +266,7 @@ def cmd_dimer(args: argparse.Namespace) -> int:
     from . import lattice
 
     units, scale = _unit_scale(args)
-    number = lattice.dimer_analytics(args.U, args.V, args.t_hop, rule="number")
-    parity = lattice.dimer_analytics(args.U, args.V, args.t_hop, rule="parity")
+    number, parity = lattice._dimer_rows(args.U, args.V, args.t_hop, ("number", "parity"))
     _emit_json(args, {
         "units": units,
         "energy": number["energy"],

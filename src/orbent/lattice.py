@@ -11,16 +11,16 @@ permutation parities.
 from __future__ import annotations
 
 import copy
-import logging
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.blas import daxpy, ddot, dnrm2
-from scipy.linalg.lapack import dstebz, dstein
-from scipy.sparse._sparsetools import csr_matvecs
 
 from . import fock
 from .entanglement import EntanglementResult, orbital_entanglement
@@ -41,9 +41,41 @@ __all__ = [
     "dimer_analytics",
 ]
 
-#: Child of the ``orbent`` logger, which has no handlers; its records are
-#: DEBUG, below the level stdlib prints without a configured handler.
-log = logging.getLogger(__name__)
+
+def _compiled(name: str):
+    """scipy's compiled module ``name``, loaded without its packages' ``__init__``.
+
+    The packages ``scipy.linalg`` and ``scipy.sparse`` take a cold command
+    about 0.18 s to import (mostly ``scipy._lib._array_api``, which loads
+    ``numpy.f2py``) for the six routines below; their extension files take
+    about 5 ms.  A module already in ``sys.modules`` is reused.  Otherwise the
+    file is found in scipy's directory, which ``find_spec`` reports without
+    running scipy's ``__init__``, and registered under its own name, so a
+    later ``import scipy.sparse`` reuses it too.  The functions are the
+    package's own, bit for bit.  Where scipy's private layout has no such
+    file, the package import runs instead.
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    root, *parts = name.split(".")
+    for directory in importlib.util.find_spec(root).submodule_search_locations:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(directory, *parts) + suffix
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(name, path)
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[name] = module
+                spec.loader.exec_module(module)
+                return module
+    return importlib.import_module(name)
+
+
+_fblas = _compiled("scipy.linalg._fblas")
+_flapack = _compiled("scipy.linalg._flapack")
+daxpy, ddot, dnrm2 = _fblas.daxpy, _fblas.ddot, _fblas.dnrm2
+dstebz, dstein = _flapack.dstebz, _flapack.dstein
+csr_matvecs = _compiled("scipy.sparse._sparsetools").csr_matvecs
 
 MAX_SITES = 14
 #: Largest set of sector vectors, in bytes, that a solve may hold: its Krylov
@@ -810,8 +842,13 @@ def two_orbital_rdm(state: GroundState | np.ndarray, basis: SectorBasis,
                 )
             if on_degenerate != "mixture":
                 raise ValueError(f"unknown degeneracy policy {on_degenerate!r}")
-            log.debug("averaging the pair state over a degenerate multiplet of %d states",
-                      len(state.multiplet))
+            # a child of the ``orbent`` logger, which has no handlers: a DEBUG record
+            # prints nothing unless the caller configures logging.  Imported here
+            # because loading ``logging`` adds ~8 ms to start-up
+            import logging
+            logging.getLogger(__name__).debug(
+                "averaging the pair state over a degenerate multiplet of %d states",
+                len(state.multiplet))
             matrices = [_pair_rdm_from_vector(v, basis, i, j) for v in state.multiplet]
             return TwoOrbitalState(sum(matrices) / len(matrices))
         vector = state.amplitudes
@@ -873,19 +910,28 @@ def dimer_analytics(u: float, v: float = 0.0, t_hop: float = 1.0, rule: str = "n
     singlet sector cross-checks the numerics; ``hypot`` takes the root
     without squaring, so a hopping past 1e154 does not overflow it.
     """
+    (row,) = _dimer_rows(u, v, t_hop, (rule,))
+    return row
+
+
+def _dimer_rows(u: float, v: float, t_hop: float, rules: tuple[str, ...]) -> list[dict]:
+    """:func:`dimer_analytics` under each rule, from one solve and one pair state."""
     chain = ChainSpec(2, 1, 1, t_hop=t_hop, u=u, v=v)
     basis = sector_basis(2, 1, 1)
     gs = ground_state(_SectorOperator(chain, basis))
     rdm = two_orbital_rdm(gs, basis, 0, 1)
-    result: EntanglementResult = orbital_entanglement(rdm, rule)
     analytic = 0.5 * (u + v) - math.hypot(0.5 * (u - v), 2.0 * t_hop)
-    return {
-        "u": u,
-        "v": v,
-        "t_hop": t_hop,
-        "energy": gs.energy,
-        "energy_analytic": analytic,
-        "entanglement_nats": result.value,
-        "variant": result.variant.value if result.variant else None,
-        "method": result.method,
-    }
+    rows = []
+    for rule in rules:
+        result: EntanglementResult = orbital_entanglement(rdm, rule)
+        rows.append({
+            "u": u,
+            "v": v,
+            "t_hop": t_hop,
+            "energy": gs.energy,
+            "energy_analytic": analytic,
+            "entanglement_nats": result.value,
+            "variant": result.variant.value if result.variant else None,
+            "method": result.method,
+        })
+    return rows

@@ -419,6 +419,20 @@ class TestDimerCommand:
         else:
             assert code == cli.EXIT_USAGE and out == "" and err.startswith("error: ")
 
+    def test_both_rules_come_from_one_solve(self, capsys, monkeypatch):
+        solves = []
+        ground_state = lattice.ground_state
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return ground_state(*args, **kwargs)
+
+        monkeypatch.setattr(lattice, "ground_state", counted)
+        code, out, _ = run(["dimer", "--U", "4"], capsys)
+        assert code == cli.EXIT_OK and len(solves) == 1
+        payload = json.loads(out)
+        assert payload["variant_number_rule"] != payload["variant_parity_rule"]
+
     def test_values(self, capsys):
         code, out, _ = run(["dimer", "--U", "0"], capsys)
         assert code == 0
@@ -497,24 +511,33 @@ class TestParser:
 class TestImportCost:
     def test_only_the_ed_commands_load_scipy(self):
         # a fresh interpreter: importing the CLI loads no scipy and no logging
-        # at all, and the two ED commands run, densely and by Lanczos, without
-        # ARPACK's scipy.sparse.linalg; so does the partner runs' degenerate solve
+        # at all; the gapped ED commands load only scipy's three compiled
+        # modules, none of its packages, and no logging; the partner runs'
+        # degenerate solve loads no ARPACK's scipy.sparse.linalg either
         probe = textwrap.dedent("""
             import contextlib, io, json, sys
             import orbent.cli
-            loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "logging"))
+            loaded = lambda: sorted(m for m in sys.modules
+                                    if m.split(".")[0] in ("scipy", "logging"))
+            cli = loaded()
             codes = []
             for argv in (["dimer", "--U", "4"], ["ehm-scan", "--L", "4", "--U", "4", "--V", "1"],
                          ["ehm-scan", "--L", "8", "--U", "6", "--V", "3"]):
                 with contextlib.redirect_stdout(io.StringIO()):
                     codes.append(orbent.cli.main(argv))
+            ed = loaded()
             from orbent import lattice
             ring = lattice.ChainSpec(8, 4, 4, boundary="periodic")
             lattice.ground_state_rdm(ring, 0, 1, on_degenerate="mixture")
-            print(json.dumps({"loaded": loaded, "codes": codes,
+            print(json.dumps({"loaded": cli, "ed": ed, "codes": codes,
                               "linalg": "scipy.sparse.linalg" in sys.modules}))
         """)
         env = dict(os.environ, PYTHONPATH=str(Path(orbent.__file__).resolve().parents[1]))
         proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, timeout=120, check=True)
-        assert json.loads(proc.stdout) == {"loaded": [], "codes": [0, 0, 0], "linalg": False}
+        assert json.loads(proc.stdout) == {
+            "loaded": [],
+            "ed": ["scipy.linalg._fblas", "scipy.linalg._flapack", "scipy.sparse._sparsetools"],
+            "codes": [0, 0, 0],
+            "linalg": False,
+        }

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import logging
 import math
 import os
@@ -636,6 +638,79 @@ class TestSparseKernel:
         low, high = operator.interval
         h = kronecker_hamiltonian(chain)
         assert np.abs(out - h @ x.ravel()).max() <= 1e-14 * max(-low, high) * np.abs(x).max()
+
+
+class TestCompiledModules:
+    """``lattice`` loads scipy's three compiled modules from their files, and
+    falls back to the package import where scipy's layout has none."""
+
+    PROBE = textwrap.dedent("""
+        import hashlib, importlib.machinery, importlib.util, json, sys
+        find_spec = importlib.util.find_spec
+        if len(sys.argv) > 1:
+            # scipy's directory, as the loader sees it, is an empty one
+            def without_files(name, package=None):
+                if name != "scipy":
+                    return find_spec(name, package)
+                spec = importlib.machinery.ModuleSpec(name, None, is_package=True)
+                spec.submodule_search_locations = [sys.argv[1]]
+                return spec
+            importlib.util.find_spec = without_files
+        from orbent import lattice
+        importlib.util.find_spec = find_spec
+        path = "package" if "scipy.linalg" in sys.modules else "direct"
+        h = lattice.build_hamiltonian(lattice.ChainSpec(8, 4, 4, u=6.0, v=3.0))
+        gs = lattice.ground_state(h)
+        # a later package import reuses each module, whichever way it came
+        import scipy.linalg.blas, scipy.linalg.lapack, scipy.sparse
+        modules = [sys.modules[f"scipy.{m}"] for m in
+                   ("linalg._fblas", "linalg._flapack", "sparse._sparsetools")]
+        print(json.dumps({
+            "path": path,
+            "shared": [lattice.daxpy is scipy.linalg.blas.daxpy is modules[0].daxpy,
+                       lattice.dstein is scipy.linalg.lapack.dstein is modules[1].dstein,
+                       lattice.csr_matvecs is modules[2].csr_matvecs],
+            "solve": [hashlib.sha256(gs.amplitudes.tobytes()).hexdigest(),
+                      *map(float.hex, (gs.energy, gs.energy_gap, gs.residual)), gs.matvecs],
+        }))
+    """)
+
+    @staticmethod
+    def run(probe, *argv):
+        """``probe``'s stdout in a fresh interpreter, warnings as errors."""
+        env = dict(os.environ, PYTHONPATH=str(Path(lattice.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", probe, *map(str, argv)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return proc.stdout
+
+    def test_both_paths_solve_to_the_same_bits(self, tmp_path):
+        # the fallback returns the package's modules; the solve that
+        # test_kept_rows_do_not_move_a_bit pins keeps its bits on either path
+        direct = json.loads(self.run(self.PROBE))
+        package = json.loads(self.run(self.PROBE, tmp_path))
+        assert (direct["path"], package["path"]) == ("direct", "package")
+        assert direct["shared"] == package["shared"] == [True, True, True]
+        gs = lattice.ground_state(lattice.build_hamiltonian(lattice.ChainSpec(8, 4, 4, u=6.0,
+                                                                              v=3.0)))
+        assert direct["solve"] == package["solve"] == [
+            hashlib.sha256(gs.amplitudes.tobytes()).hexdigest(),
+            *map(float.hex, (gs.energy, gs.energy_gap, gs.residual)), gs.matvecs]
+
+    def test_a_loaded_package_module_is_reused(self):
+        # with the packages imported first, the loader looks for no file
+        self.run(textwrap.dedent("""
+            import importlib.util, scipy.linalg.blas, scipy.linalg.lapack, scipy.sparse
+            find_spec, from_file = importlib.util.find_spec, importlib.util.spec_from_file_location
+            def looked_up(*args):
+                raise AssertionError(f"a loaded module was looked up again: {args}")
+            importlib.util.find_spec = importlib.util.spec_from_file_location = looked_up
+            from orbent import lattice
+            importlib.util.find_spec, importlib.util.spec_from_file_location = find_spec, from_file
+            assert lattice.csr_matvecs is scipy.sparse._sparsetools.csr_matvecs
+            assert lattice.ddot is scipy.linalg.blas.ddot
+            assert lattice.dstebz is scipy.linalg.lapack.dstebz
+        """))
 
 
 class TestSectorOperator:
