@@ -207,8 +207,11 @@ def _linear_sector_solution(x: float, y: float, u: float, v: float):
     """Closest-sector solution when the two product weights balance.
 
     ``(x, y)`` are the coherence-pair weights, ``(u, v)`` the product-pair
-    weights with ``u = v`` assumed (the quadratic boundary degenerates to a
-    linear one).  Returns ``(value, (qx, qy, qu, qv), details)``.
+    weights, balanced within the detection tolerance.  The separability test
+    and the value are those of ``u = v``, where the quadratic boundary
+    degenerates to a linear one.  The weights are the minimizer itself: for
+    ``u = v`` the linear one, otherwise :func:`_balanced_split`'s.  Returns
+    ``(value, (qx, qy, qu, qv), details)``.
     """
     t = max(x, y)
     r = min(x, y) + u + v
@@ -222,11 +225,51 @@ def _linear_sector_solution(x: float, y: float, u: float, v: float):
         q_large, q_small, qu, qv = half, half, 0.0, 0.0
     else:
         value = r * math.log(2.0 * r / (r + t)) + t * math.log(2.0 * t / (r + t))
-        q_large = half
-        q_small = half * min(x, y) / r
-        qu = qv = half * (u + v) / (2.0 * r)
+        if u == v:
+            q_large = half
+            q_small = half * min(x, y) / r
+            qu = qv = half * (u + v) / (2.0 * r)
+        else:
+            q_large, q_small, qu, qv = _balanced_split(t, min(x, y), u, v)
     q = (q_large, q_small, qu, qv) if x >= y else (q_small, q_large, qu, qv)
     return value, q, {"r": r, "t": t, "separable": False}
+
+
+def _balanced_split(a: float, b: float, u: float, v: float) -> tuple[float, float, float, float]:
+    """Closest sector weights ``(q_a, q_b, q_u, q_v)`` of an entangled sector, ``a > b + u + v``.
+
+    Stationarity of the sector's KL divergence on the boundary ``q_u q_v =
+    w^2``, ``w = (q_a - q_b)/2``, with the sector mass kept, puts the optimum
+    at ``q_a = a/(1+k)``, ``q_b = b/(1-k)``, ``q_u = u + k w`` and ``q_v = v
+    + k w``, so ``q_u - q_v = u - v``.  With ``D = a - b``, ``P = u + v``,
+    ``T = a + b + P`` and ``Delta = u - v``, the boundary leaves
+    ``k^2 (T^2 - Delta^2) - 2 k D T + D^2 - 4 u v = 0``, whose smaller root,
+    rationalized, is ``k = (D^2 - 4 u v) / (D T + R)`` with
+    ``R = sqrt(4 u v (T^2 - Delta^2) + Delta^2 D^2)``.  Every factor below is
+    a sum of non-negative terms, except ``D - P``, the margin to the linear
+    boundary that the value's formula also takes, and ``D (2a + P) - 4 u v``,
+    which keeps more than half its first term (``4 u v <= P^2 < D P``); the
+    weights are first
+    scaled exactly by a power of two, so that ``a`` lies in ``[1/2, 1)``, and
+    the roots are taken by ``hypot`` and ``sqrt(u) sqrt(v)``, so no square
+    underflows.  Each weight keeps its relative precision down to
+    rounding-level product weights.  At ``u = v`` this is the linear solution.
+    """
+    exponent = math.frexp(a)[1]
+    a, b, u, v = (math.ldexp(weight, -exponent) for weight in (a, b, u, v))
+    d, p, delta = a - b, u + v, u - v
+    total = a + b + p
+    geo = 2.0 * math.sqrt(u) * math.sqrt(v)  # sqrt(4 u v)
+    root = math.hypot(geo * math.sqrt((total - delta) * (total + delta)), delta * d)
+    den = d * total + root
+    k = ((d - p) * (d + p) + delta * delta) / den
+    one_plus_k = (d * (2.0 * a + p) - geo * geo + root) / den
+    one_minus_k = (d * (2.0 * b + p) + geo * geo + root) / den
+    kp = k * p
+    w = ((kp + math.hypot(kp, geo * math.sqrt(one_minus_k * one_plus_k)))
+         / (2.0 * one_minus_k * one_plus_k))
+    return tuple(math.ldexp(weight, exponent)
+                 for weight in (a / one_plus_k, b / one_minus_k, u + k * w, v + k * w))
 
 
 def _general_sector_solution(x: float, y: float, u: float, v: float,

@@ -18,7 +18,7 @@ import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -85,10 +85,11 @@ MAX_HAMILTONIAN_BYTES = 512 * 2**20
 #: block; the steps past it are rebuilt by the three-term recurrence.
 LANCZOS_BASIS_BYTES = 16 * 2**20
 #: Sector vectors a matrix-free Lanczos solve holds besides its Krylov block
-#: and its multiplet, at its peak (the Ritz sum): the start vector, the Ritz
-#: sum and its three rebuild vectors, and the operator's diagonal and two
-#: buffers.  The even run adds none: its start is made in the block's first
-#: row and its product uses one of the two buffers.
+#: and its multiplet, at its peak (the Ritz sum): the Ritz sum and its three
+#: rebuild vectors, and the operator's diagonal, its halved copy (a spin-flip
+#: operator's, for ``apply_even``) and two buffers.  The seeded start vector
+#: is freed once the run's start is made from it in the block's first row,
+#: and the even product uses one of the two buffers.
 SOLVE_VECTORS = 8
 DEGENERACY_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
@@ -155,7 +156,8 @@ class SectorBasis:
     """Occupation bitstrings of a fixed ``(N_up, N_down)`` sector.
 
     Bitstrings are ascending integers (bit ``s`` is site ``s``); the combined
-    index is ``up_index * len(dn_states) + dn_index``.
+    index is ``up_index * len(dn_states) + dn_index``.  The bases of
+    :func:`sector_basis` are shared and read-only.
     """
 
     length: int
@@ -178,17 +180,37 @@ class SectorBasis:
         return iu * len(self.dn_states) + idn
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.setflags(write=False)
+
+
 def _states_with_popcount(length: int, count: int) -> np.ndarray:
     all_states = np.arange(1 << length, dtype=np.int64)
     return all_states[np.bitwise_count(all_states) == count]
 
 
+@lru_cache(maxsize=1)
 def sector_basis(length: int, n_up: int, n_dn: int) -> SectorBasis:
-    return SectorBasis(
+    """The ``(n_up, n_dn)`` sector of a chain of ``length`` sites, shared and read-only.
+
+    One geometry stays cached per process, the last one asked for: repeated
+    calls return the same basis, and another geometry releases it.  What it
+    keeps past a call is what the calls built: its two bitstring arrays and
+    the pair tables of :func:`_pair_tables`, 16 bytes per state per orbital
+    pair (about 27 MB for the two pairs of an L = 12 bond scan).  No
+    operator, vector or result is cached.  Its arrays refuse writes, so no
+    caller can change what another reads.  Caching moves no bit: the basis
+    and its tables hold the same values, built once per geometry instead of
+    once per call.
+    """
+    basis = SectorBasis(
         length=length,
         up_states=_states_with_popcount(length, n_up),
         dn_states=_states_with_popcount(length, n_dn),
     )
+    _read_only(basis.up_states, basis.dn_states)
+    return basis
 
 
 def _occupancy(states: np.ndarray, length: int) -> np.ndarray:
@@ -197,12 +219,16 @@ def _occupancy(states: np.ndarray, length: int) -> np.ndarray:
     return ((states[:, None] >> sites[None, :]) & 1).astype(np.int8)
 
 
-def _species_hopping(states: np.ndarray, length: int, bonds):
+@lru_cache(maxsize=2)
+def _species_hopping(length: int, count: int, bonds: tuple[tuple[int, int], ...]):
     """Single-species operator ``sum_bonds (f+_i f_j + f+_j f_i)`` with JW signs.
 
-    Returns the ``(indptr, indices, data)`` arrays of its canonical CSR form
-    (sorted columns, no duplicates), with 4-byte indices.
+    Acts on the states of ``count`` particles on ``length`` sites.  Returns
+    the ``(indptr, indices, data)`` arrays of its canonical CSR form (sorted
+    columns, no duplicates), with 4-byte indices, shared and read-only: the
+    last two geometries' stay cached, both species of one sector.
     """
+    states = _states_with_popcount(length, count)
     n = len(states)
     rows, cols, vals = [], [], []
     for i, j in bonds:
@@ -224,7 +250,9 @@ def _species_hopping(states: np.ndarray, length: int, bonds):
     order = np.lexsort((cols, rows))
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, cols[order].astype(np.int32), vals[order]
+    hopping = indptr, cols[order].astype(np.int32), vals[order]
+    _read_only(*hopping)
+    return hopping
 
 
 def _interaction_diagonal(chain: ChainSpec, occ_up: np.ndarray, occ_dn: np.ndarray) -> np.ndarray:
@@ -294,9 +322,8 @@ class _SectorOperator:
         if basis is None:
             basis = sector_basis(chain.length, chain.n_up, chain.n_dn)
         # one hopping for both species when n_up == n_dn
-        k_up = _species_hopping(basis.up_states, chain.length, chain.bonds)
-        k_dn = (k_up if chain.n_up == chain.n_dn
-                else _species_hopping(basis.dn_states, chain.length, chain.bonds))
+        k_up, k_dn = (_species_hopping(chain.length, count, chain.bonds)
+                      for count in (chain.n_up, chain.n_dn))
         (up_indptr, _, up_data), (dn_indptr, _, dn_data) = k_up, k_dn
         n_up, n_dn = len(up_indptr) - 1, len(dn_indptr) - 1
         dim = n_up * n_dn
@@ -335,6 +362,9 @@ class _SectorOperator:
             raise ValueError(f"t_hop = {chain.t_hop}, U = {chain.u} and V = {chain.v} "
                              "overflow the Hamiltonian's Gershgorin bounds")
         self._diag_t = np.ascontiguousarray(diag.T)
+        # apply_even's halved diagonal: halving is exact in the normal range,
+        # so its products have the bits of halving D o X
+        self._half_diag = 0.5 * self._diag_t if self.spin_flip else None
         self.interval = low, high
 
     def at(self, chain: ChainSpec) -> _SectorOperator:
@@ -369,17 +399,16 @@ class _SectorOperator:
 
         With one hopping ``K`` and ``D = D^T`` (``spin_flip``), ``H X = Z +
         Z^T`` for ``Z = D o X / 2 - t K X``.  A buffer receives ``Z``, the
-        halved diagonal term and then one kernel call, and ``out`` the sum of
-        ``Z`` and its transpose: symmetric bit for bit, so a run started in
-        the sector stays there without projection.  Equal to :meth:`apply` on
+        stored halved diagonal times ``X`` and then one kernel call, and
+        ``out`` the sum of ``Z`` and its transpose: symmetric bit for bit, so
+        a run started in the sector stays there without projection.  Equal to :meth:`apply` on
         such an ``x`` up to rounding.  ``x`` and ``out`` are distinct
         contiguous float64 sector vectors.
         """
         n = self._n[0]
         z = self._yt
-        # D is symmetric, so its stored transpose is D
-        np.multiply(self._diag_t, x.reshape(n, n), out=z)
-        z *= 0.5
+        # D is symmetric, so its stored transpose, halved, is D / 2
+        np.multiply(self._half_diag, x.reshape(n, n), out=z)
         csr_matvecs(n, n, n, *self._up, x, z)
         np.add(z, z.T, out=out.reshape(n, n))
         return out
@@ -453,7 +482,7 @@ def _three_term(w, q, q_prev, alpha, beta_prev):
 
 
 def _tridiagonal_lowest(alphas, betas):
-    """Lowest eigenpair of the Lanczos tridiagonal.
+    """Lowest eigenpair of the Lanczos tridiagonal, from sequences or arrays of its entries.
 
     Makes the LAPACK calls of ``eigh_tridiagonal(alphas, betas, select="i",
     select_range=(0, 0))``, bisection (``stebz``) and inverse iteration
@@ -500,7 +529,8 @@ def _lanczos_lowest(apply, start: np.ndarray, tol: float, norm: float,
     floor = max(tol, BREAKDOWN_TOL * norm)
     rows = 0 if krylov is None else len(krylov)
     spare = [np.empty_like(start) for _ in range(3)]
-    alphas, betas = [], []
+    # step k's alpha and beta at index k - 1; each check reads the leading slices
+    alphas, betas = np.empty(LANCZOS_MAX_STEPS), np.empty(LANCZOS_MAX_STEPS)
     q, q_prev, beta = start, start, 0.0
     for step in range(1, LANCZOS_MAX_STEPS + 1):
         # the vectors of steps - 1 and - 2 are never spare[step % 3]
@@ -508,13 +538,13 @@ def _lanczos_lowest(apply, start: np.ndarray, tol: float, norm: float,
         alpha = ddot(q, w)
         _three_term(w, q, q_prev, alpha, beta)
         beta = dnrm2(w)
-        alphas.append(alpha)
+        alphas[step - 1] = alpha
         closed = beta <= floor
         if closed or step % LANCZOS_CHECK_EVERY == 0:
-            theta, s = _tridiagonal_lowest(alphas, betas)
+            theta, s = _tridiagonal_lowest(alphas[:step], betas[:step - 1])
             if closed or beta * abs(s[-1]) < tol:
-                return float(theta), s, alphas, betas
-        betas.append(beta)
+                return float(theta), s, alphas[:step], betas[:step - 1]
+        betas[step - 1] = beta
         w *= 1.0 / beta
         q_prev, q = q, w
     raise OrbentError(f"eigensolver did not converge in {LANCZOS_MAX_STEPS} Lanczos steps")
@@ -625,12 +655,12 @@ def ground_state(hamiltonian: _SectorOperator, *, seed: int = 7) -> GroundState:
         if hamiltonian.spin_flip:
             # the even part X + X^T of v0, normalized
             n = math.isqrt(dim)
-            x = v0.reshape(n, n)
-            np.add(x, x.T, out=start.reshape(n, n))
+            np.add(v0.reshape(n, n), v0.reshape(n, n).T, out=start.reshape(n, n))
             start /= np.linalg.norm(start)
             ground_apply = counted(hamiltonian.apply_even)
         else:
             start[:] = v0
+        del v0  # freed before the run (SOLVE_VECTORS)
         e0, s, alphas, betas = _lanczos_lowest(ground_apply, start, GROUND_RITZ_TOL, norm, krylov)
         psi = _ritz_vector(ground_apply, krylov, s, alphas, betas)
         del krylov, start  # freed before the gap run, which keeps no basis
@@ -648,6 +678,7 @@ def ground_state(hamiltonian: _SectorOperator, *, seed: int = 7) -> GroundState:
             v1 = rng.normal(size=dim)
             v1 /= np.linalg.norm(v1)
             level = _lanczos_lowest(apply_deflated, v1, GAP_RITZ_TOL, norm + width)[0]
+            del v1  # freed before any partner run (SOLVE_VECTORS)
 
         def partner_runs():
             """Partner runs up to the next vector within ``DEGENERACY_TOL`` of the lowest level,
@@ -726,7 +757,9 @@ def total_spin_expectation(psi: np.ndarray, basis: SectorBasis) -> float:
 
     raised_norm_sq = 0.0
     if n_dn > 0 and n_up < length:
-        target = sector_basis(length, n_up + 1, n_dn - 1)
+        # built here, not by sector_basis, so the chain's cached basis stays
+        target = SectorBasis(length, _states_with_popcount(length, n_up + 1),
+                             _states_with_popcount(length, n_dn - 1))
         raised = np.zeros((len(target.up_states), len(target.dn_states)), dtype=complex)
         below = [(1 << site) - 1 for site in range(length)]
         for site in range(length):
@@ -781,7 +814,7 @@ def _pair_tables(basis: SectorBasis, i: int, j: int):
 
     The reduction of any vector on ``basis`` scatters its signed amplitudes
     into a ``(16, n_env)`` array at the same places, so the tables are built
-    once per basis and pair and kept on the basis.
+    once per basis and pair and kept, read-only, on the basis.
     """
     tables = basis._pair_tables.get((i, j))
     if tables is not None:
@@ -807,6 +840,7 @@ def _pair_tables(basis: SectorBasis, i: int, j: int):
     cols = env_u[:, None] * n_env_d + env_d[None, :]
     # each basis state is one (kept, environment) pair, so the scatter never collides
     flat = (rows * n_env + cols).ravel()
+    _read_only(flat, signs)
     tables = basis._pair_tables[(i, j)] = (flat, signs, n_env)
     return tables
 
@@ -872,8 +906,8 @@ def bond_scan(chain: ChainSpec, u_values, v_values, pivot: int, *, seed: int = 7
     per grid point with both bond values; the strong/weak assignment is by
     magnitude, which keeps the scan free of any bond-labeling convention.
     The species hoppings do not depend on ``(U, V)``, so one
-    :class:`_SectorOperator` is built per scan and each grid point computes
-    only its interaction diagonal.
+    :class:`_SectorOperator` is built, at the first grid point, and each
+    later point computes only its interaction diagonal.
     """
     if chain.boundary != "open":
         raise ValueError("bond scans are defined for open chains")
@@ -882,12 +916,14 @@ def bond_scan(chain: ChainSpec, u_values, v_values, pivot: int, *, seed: int = 7
     if not 1 <= pivot <= chain.length - 2:
         raise ValueError("pivot must have a bond on each side")
     basis = sector_basis(chain.length, chain.n_up, chain.n_dn)
-    operator = _SectorOperator(chain, basis)
+    operator = None
     rows = []
     for u in np.atleast_1d(u_values):
         for v in np.atleast_1d(v_values):
             point = replace(chain, u=float(u), v=float(v))
-            gs = ground_state(operator.at(point), seed=seed)
+            # built at the first point, so a refusal names couplings of the grid
+            operator = _SectorOperator(point, basis) if operator is None else operator.at(point)
+            gs = ground_state(operator, seed=seed)
             left = two_orbital_rdm(gs, basis, pivot - 1, pivot)
             right = two_orbital_rdm(gs, basis, pivot, pivot + 1)
             e_left = orbital_entanglement(left, "number").value

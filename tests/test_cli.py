@@ -314,6 +314,9 @@ class TestScanCommands:
          "U = 1e+308 and V = 3.0 overflow the interaction diagonal"),
         (["dimer", "--U", "1e308"],
          "t_hop = 1.0, U = 1e+308 and V = 0.0 overflow the Hamiltonian's Gershgorin bounds"),
+        # named by the first grid point, where the scan builds its operator
+        (["ehm-scan", "--L", "8", "--U", "6:7:2", "--V", "3", "--t-hop", "1e308"],
+         "t_hop = 1e+308, U = 6.0 and V = 3.0 overflow the Hamiltonian's Gershgorin bounds"),
     ])
     def test_non_finite_parameters_are_refused_by_name(self, argv, message, capsys):
         # warnings are errors here, so a numpy RuntimeWarning on the way fails the test

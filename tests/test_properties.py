@@ -128,6 +128,71 @@ def test_batches_match_their_scalar_paths_beside_the_separability_boundary(rows)
         assert outcomes_match(batch, scalar, rows)
 
 
+def closest_sector_reference(x, y, u, v, digits=80):
+    """Closest weights of an entangled sector, to ``digits`` digits.
+
+    Stationarity of the sector KL with its mass kept puts the optimum at
+    ``q_x = x/(1+k)``, ``q_y = y/(1-k)`` (for ``x > y``), ``q_u = u + k w``
+    and ``q_v = v + k w`` with ``w = (q_x - q_y)/2``; bisection finds the
+    ``k`` in ``(0, (x-y)/(x+y))`` that puts them on the boundary
+    ``q_u q_v = w^2``, where ``q_u q_v - w^2`` goes from negative (the target
+    is entangled) to ``u v >= 0``.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        a, b, u, v = (mpmath.mpf(w) for w in (max(x, y), min(x, y), u, v))
+
+        def weights(k):
+            qa, qb = a / (1 + k), b / (1 - k)
+            w = (qa - qb) / 2
+            return qa, qb, u + k * w, v + k * w, w
+
+        low, high = mpmath.mpf(0), (a - b) / (a + b)
+        for _ in range(4 * digits):
+            mid = (low + high) / 2
+            _, _, qu, qv, w = weights(mid)
+            low, high = (mid, high) if qu * qv < w * w else (low, mid)
+        qa, qb, qu, qv, _ = weights((low + high) / 2)
+        return (qa, qb, qu, qv) if x >= y else (qb, qa, qu, qv)
+
+
+@st.composite
+def balanced_entangled_sectors(draw):
+    """An entangled spin sector whose product weights balance within the
+    detection tolerance: apart by the whole tolerance, just inside it or by
+    less, with means down to rounding level beside the coherence weights, and
+    a margin of 1% of the largest weight to the linear boundary."""
+    a = draw(st.floats(1e-3, 0.4))
+    b = a * draw(st.just(0.0) | st.floats(1e-20, 0.9))  # no subnormal weight
+    mean = 10.0 ** draw(st.floats(-40.0, -3.0))
+    split = draw(st.sampled_from([1.0, 1.0 - 2.0**-40]) | st.floats(-1.0, 1.0))
+    delta = split * min(ssr.DETECTION_TOL, mean)
+    u, v = mean + delta / 2.0, mean - delta / 2.0
+    assume(u != v and abs(u - v) <= ssr.DETECTION_TOL and a - b - (u + v) >= 0.01 * a)
+    return (b, a, u, v) if draw(st.booleans()) else (a, b, u, v)
+
+
+@PROPERTY
+@given(sector=balanced_entangled_sectors())
+@example(sector=(0.012721015645750167, 0.003528476416942447, 5.822115654550071e-35,
+                 1.8250210499963147e-40))
+@example(sector=(0.3, 0.2, 0.01 + 0.49 * ssr.DETECTION_TOL, 0.01 - 0.49 * ssr.DETECTION_TOL))
+def test_singlet_closest_weights_are_the_minimizer(sector):
+    # the singlet formula's closest weights, with u != v, against an 80-digit
+    # reference and the oracle, weight by weight.  The value stays the u = v
+    # formula's, which the balance test admits within DETECTION_TOL
+    roles = list(fock.SPIN_SECTOR)
+    p = spectrum({fock.SPIN_SECTOR: sector})
+    formula = ent.nssr_entanglement_singlet(ent.SectorSpectrum(p))
+    q = formula.closest_weights[roles]
+    for weight, exact in zip(q.tolist(), closest_sector_reference(*sector)):
+        assert abs(weight - exact) <= 1e-12 * exact
+    sol = oracle.kl_min_oracle(oracle.ConstrainedSimplexProblem(p, "number"))
+    np.testing.assert_allclose(q, sol.weights[roles], rtol=1e-9, atol=0.0)
+    assert abs(sol.value - formula.value) <= ssr.DETECTION_TOL
+
+
 @PROPERTY
 @given(x=st.floats(0.3, 0.5), others=st.lists(st.floats(1e-3, 0.1), min_size=3, max_size=3),
        which=st.sampled_from([1, 2, 3]), factor=st.floats(0.5, 2.0))
