@@ -209,8 +209,8 @@ def _linear_sector_solution(x: float, y: float, u: float, v: float):
     ``(x, y)`` are the coherence-pair weights, ``(u, v)`` the product-pair
     weights, balanced within the detection tolerance.  The separability test
     and the value are those of ``u = v``, where the quadratic boundary
-    degenerates to a linear one.  The weights are the minimizer itself: for
-    ``u = v`` the linear one, otherwise :func:`_balanced_split`'s.  Returns
+    degenerates to a linear one.  The weights are the minimizer itself,
+    :func:`_balanced_split`'s, which at ``u = v`` is the linear one.  Returns
     ``(value, (qx, qy, qu, qv), details)``.
     """
     t = max(x, y)
@@ -225,12 +225,7 @@ def _linear_sector_solution(x: float, y: float, u: float, v: float):
         q_large, q_small, qu, qv = half, half, 0.0, 0.0
     else:
         value = r * math.log(2.0 * r / (r + t)) + t * math.log(2.0 * t / (r + t))
-        if u == v:
-            q_large = half
-            q_small = half * min(x, y) / r
-            qu = qv = half * (u + v) / (2.0 * r)
-        else:
-            q_large, q_small, qu, qv = _balanced_split(t, min(x, y), u, v)
+        q_large, q_small, qu, qv = _balanced_split(t, min(x, y), u, v)
     q = (q_large, q_small, qu, qv) if x >= y else (q_small, q_large, qu, qv)
     return value, q, {"r": r, "t": t, "separable": False}
 
@@ -256,7 +251,8 @@ def _balanced_split(a: float, b: float, u: float, v: float) -> tuple[float, floa
     rounding-level product weights.  At ``u = v`` this is the linear solution.
     """
     exponent = math.frexp(a)[1]
-    a, b, u, v = (math.ldexp(weight, -exponent) for weight in (a, b, u, v))
+    ldexp = math.ldexp
+    a, b, u, v = ldexp(a, -exponent), ldexp(b, -exponent), ldexp(u, -exponent), ldexp(v, -exponent)
     d, p, delta = a - b, u + v, u - v
     total = a + b + p
     geo = 2.0 * math.sqrt(u) * math.sqrt(v)  # sqrt(4 u v)
@@ -268,8 +264,8 @@ def _balanced_split(a: float, b: float, u: float, v: float) -> tuple[float, floa
     kp = k * p
     w = ((kp + math.hypot(kp, geo * math.sqrt(one_minus_k * one_plus_k)))
          / (2.0 * one_minus_k * one_plus_k))
-    return tuple(math.ldexp(weight, exponent)
-                 for weight in (a / one_plus_k, b / one_minus_k, u + k * w, v + k * w))
+    return (ldexp(a / one_plus_k, exponent), ldexp(b / one_minus_k, exponent),
+            ldexp(u + k * w, exponent), ldexp(v + k * w, exponent))
 
 
 def _general_sector_solution(x: float, y: float, u: float, v: float,

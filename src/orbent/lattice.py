@@ -18,7 +18,7 @@ import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -73,7 +73,7 @@ def _compiled(name: str):
 
 _fblas = _compiled("scipy.linalg._fblas")
 _flapack = _compiled("scipy.linalg._flapack")
-daxpy, ddot, dnrm2 = _fblas.daxpy, _fblas.ddot, _fblas.dnrm2
+daxpy, ddot, dnrm2, dscal = _fblas.daxpy, _fblas.ddot, _fblas.dnrm2, _fblas.dscal
 dstebz, dstein = _flapack.dstebz, _flapack.dstein
 csr_matvecs = _compiled("scipy.sparse._sparsetools").csr_matvecs
 
@@ -156,8 +156,7 @@ class SectorBasis:
     """Occupation bitstrings of a fixed ``(N_up, N_down)`` sector.
 
     Bitstrings are ascending integers (bit ``s`` is site ``s``); the combined
-    index is ``up_index * len(dn_states) + dn_index``.  The bases of
-    :func:`sector_basis` are shared and read-only.
+    index is ``up_index * len(dn_states) + dn_index``.
     """
 
     length: int
@@ -180,37 +179,17 @@ class SectorBasis:
         return iu * len(self.dn_states) + idn
 
 
-def _read_only(*arrays: np.ndarray) -> None:
-    for array in arrays:
-        array.setflags(write=False)
-
-
 def _states_with_popcount(length: int, count: int) -> np.ndarray:
     all_states = np.arange(1 << length, dtype=np.int64)
     return all_states[np.bitwise_count(all_states) == count]
 
 
-@lru_cache(maxsize=1)
 def sector_basis(length: int, n_up: int, n_dn: int) -> SectorBasis:
-    """The ``(n_up, n_dn)`` sector of a chain of ``length`` sites, shared and read-only.
-
-    One geometry stays cached per process, the last one asked for: repeated
-    calls return the same basis, and another geometry releases it.  What it
-    keeps past a call is what the calls built: its two bitstring arrays and
-    the pair tables of :func:`_pair_tables`, 16 bytes per state per orbital
-    pair (about 27 MB for the two pairs of an L = 12 bond scan).  No
-    operator, vector or result is cached.  Its arrays refuse writes, so no
-    caller can change what another reads.  Caching moves no bit: the basis
-    and its tables hold the same values, built once per geometry instead of
-    once per call.
-    """
-    basis = SectorBasis(
+    return SectorBasis(
         length=length,
         up_states=_states_with_popcount(length, n_up),
         dn_states=_states_with_popcount(length, n_dn),
     )
-    _read_only(basis.up_states, basis.dn_states)
-    return basis
 
 
 def _occupancy(states: np.ndarray, length: int) -> np.ndarray:
@@ -219,70 +198,74 @@ def _occupancy(states: np.ndarray, length: int) -> np.ndarray:
     return ((states[:, None] >> sites[None, :]) & 1).astype(np.int8)
 
 
-@lru_cache(maxsize=2)
-def _species_hopping(length: int, count: int, bonds: tuple[tuple[int, int], ...]):
+def _species_hopping(states: np.ndarray, length: int, bonds):
     """Single-species operator ``sum_bonds (f+_i f_j + f+_j f_i)`` with JW signs.
 
-    Acts on the states of ``count`` particles on ``length`` sites.  Returns
-    the ``(indptr, indices, data)`` arrays of its canonical CSR form (sorted
-    columns, no duplicates), with 4-byte indices, shared and read-only: the
-    last two geometries' stay cached, both species of one sector.
+    Returns the ``(indptr, indices, data)`` arrays of its canonical CSR form
+    (sorted columns, no duplicates), with 4-byte indices.  Every bond's hops
+    are found in one pass over a ``(bonds, states)`` array.
     """
-    states = _states_with_popcount(length, count)
     n = len(states)
-    rows, cols, vals = [], [], []
-    for i, j in bonds:
-        low, high = (i, j) if i < j else (j, i)
-        between = ((1 << high) - 1) ^ ((1 << (low + 1)) - 1)
-        has_j = (states >> j) & 1 == 1
-        empty_i = (states >> i) & 1 == 0
-        movable = np.nonzero(has_j & empty_i)[0]
-        source = states[movable]
-        target = source ^ ((1 << i) | (1 << j))
-        parity = np.bitwise_count(source & between) & 1
-        sign = 1.0 - 2.0 * parity
-        dest = np.searchsorted(states, target)
-        # the hop and its conjugate; two bonds never join the same pair of states
-        rows += [dest, movable]
-        cols += [movable, dest]
-        vals += [sign, sign]
-    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    order = np.lexsort((cols, rows))
+    i, j = np.array(bonds, dtype=np.int64).T
+    low, high = np.minimum(i, j), np.maximum(i, j)
+    between = ((1 << high) - 1) ^ ((1 << (low + 1)) - 1)
+    # a particle on j hops to an empty i
+    bond, movable = np.nonzero((states >> j[:, None]) & ~(states >> i[:, None]) & 1)
+    source = states[movable]
+    dest = np.searchsorted(states, source ^ ((1 << i) | (1 << j))[bond])
+    sign = 1.0 - 2.0 * (np.bitwise_count(source & between[bond]) & 1)
+    # the hop and its conjugate; two bonds never join the same pair of states,
+    # so the sort key row * n + column is unique
+    rows, cols = np.concatenate((dest, movable)), np.concatenate((movable, dest))
+    order = np.argsort(rows * n + cols)
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    hopping = indptr, cols[order].astype(np.int32), vals[order]
-    _read_only(*hopping)
-    return hopping
+    return indptr, cols[order].astype(np.int32), np.concatenate((sign, sign))[order]
 
 
-def _interaction_diagonal(chain: ChainSpec, occ_up: np.ndarray, occ_dn: np.ndarray) -> np.ndarray:
+def _interaction_terms(basis: SectorBasis, bonds) -> tuple[np.ndarray, ...]:
+    """The parts of the interaction diagonal that depend on the geometry only.
+
+    Returns the float occupations of :func:`_occupancy`, ``occ_up`` and
+    ``occ_dn``; ``occ_up`` times the bonds' adjacency matrix; and each
+    species' count of bonds with both ends occupied.  All hold small
+    integers, exactly.
+    """
+    occ_up, occ_dn = (_occupancy(states, basis.length).astype(np.float64)
+                      for states in (basis.up_states, basis.dn_states))
+    adjacency = np.zeros((basis.length, basis.length))
+    for i, j in bonds:
+        adjacency[i, j] += 1.0
+        adjacency[j, i] += 1.0
+    up_neighbors = occ_up @ adjacency
+    same_up = (up_neighbors * occ_up).sum(axis=1) / 2.0
+    same_dn = ((occ_dn @ adjacency) * occ_dn).sum(axis=1) / 2.0
+    return occ_up, occ_dn, up_neighbors, same_up, same_dn
+
+
+def _interaction_diagonal(chain: ChainSpec, terms: tuple[np.ndarray, ...]) -> np.ndarray:
     """``U sum n_up n_dn + V sum_bonds n_i n_j`` on each basis state, as an (n_up, n_dn) array.
 
-    ``occ_up`` and ``occ_dn`` are the float occupations of :func:`_occupancy`.
-    A ``U`` or ``V`` that overflows an entry is refused by name, with no
-    numpy warning on the way.
+    ``terms`` are the geometry's :func:`_interaction_terms`.  The double
+    occupancies and bond counts are exact integers, so the diagonal is ``U``
+    and ``V`` times them, rounded once each, and summed.  A ``U`` or ``V``
+    that overflows an entry is refused by name, with no numpy warning on the
+    way.
     """
+    occ_up, occ_dn, up_neighbors, same_up, same_dn = terms
     diag = np.zeros((len(occ_up), len(occ_dn)))
     with np.errstate(over="ignore", invalid="ignore"):
         if chain.u != 0.0:
             diag += chain.u * (occ_up @ occ_dn.T)
         if chain.v != 0.0:
-            shift = np.zeros((chain.length, chain.length))
-            for i, j in chain.bonds:
-                shift[i, j] += 1.0
-                shift[j, i] += 1.0
-            same_up = np.einsum("ak,kl,al->a", occ_up, shift, occ_up) / 2.0
-            same_dn = np.einsum("ak,kl,al->a", occ_dn, shift, occ_dn) / 2.0
-            cross = occ_up @ shift @ occ_dn.T
-            diag += chain.v * (same_up[:, None] + same_dn[None, :] + cross)
+            bonded = up_neighbors @ occ_dn.T
+            bonded += same_up[:, None]
+            bonded += same_dn
+            bonded *= chain.v
+            diag += bonded
     if not np.isfinite(diag).all():
         raise ValueError(f"U = {chain.u} and V = {chain.v} overflow the interaction diagonal")
     return diag
-
-
-def _float_occupancy(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray]:
-    return tuple(_occupancy(states, basis.length).astype(np.float64)
-                 for states in (basis.up_states, basis.dn_states))
 
 
 def _krylov_rows(dim: int) -> int:
@@ -321,9 +304,15 @@ class _SectorOperator:
     def __init__(self, chain: ChainSpec, basis: SectorBasis | None = None):
         if basis is None:
             basis = sector_basis(chain.length, chain.n_up, chain.n_dn)
+        elif (basis.length, *(int(np.bitwise_count(states[0]))
+                              for states in (basis.up_states, basis.dn_states))) != (
+                chain.length, chain.n_up, chain.n_dn):
+            raise ValueError(f"the basis is not the ({chain.n_up}, {chain.n_dn}) sector "
+                             f"of the chain's {chain.length} sites")
         # one hopping for both species when n_up == n_dn
-        k_up, k_dn = (_species_hopping(chain.length, count, chain.bonds)
-                      for count in (chain.n_up, chain.n_dn))
+        k_up = _species_hopping(basis.up_states, chain.length, chain.bonds)
+        k_dn = (k_up if chain.n_up == chain.n_dn
+                else _species_hopping(basis.dn_states, chain.length, chain.bonds))
         (up_indptr, _, up_data), (dn_indptr, _, dn_data) = k_up, k_dn
         n_up, n_dn = len(up_indptr) - 1, len(dn_indptr) - 1
         dim = n_up * n_dn
@@ -341,7 +330,7 @@ class _SectorOperator:
         #: no hopping, so the unit vectors are eigenvectors
         self.is_diagonal = chain.t_hop == 0.0
         self._degrees = np.diff(up_indptr), np.diff(dn_indptr)
-        self._occupancy = _float_occupancy(basis)
+        self._terms = _interaction_terms(basis, chain.bonds)
         # the transposed input and the transposed diagonal and down hoppings' term
         self._xt, self._yt = np.empty((n_dn, n_up)), np.empty((n_dn, n_up))
         self._set_point(chain)
@@ -353,7 +342,7 @@ class _SectorOperator:
         Its ends, and the sum of its norm and width that bounds the gap run's
         deflated operator, must be finite; they are refused by name otherwise.
         """
-        diag = _interaction_diagonal(chain, *self._occupancy)
+        diag = _interaction_diagonal(chain, self._terms)
         deg_up, deg_dn = self._degrees
         with np.errstate(over="ignore", invalid="ignore"):
             radius = abs(self._t_hop) * (deg_up[:, None] + deg_dn[None, :])
@@ -401,9 +390,9 @@ class _SectorOperator:
         Z^T`` for ``Z = D o X / 2 - t K X``.  A buffer receives ``Z``, the
         stored halved diagonal times ``X`` and then one kernel call, and
         ``out`` the sum of ``Z`` and its transpose: symmetric bit for bit, so
-        a run started in the sector stays there without projection.  Equal to :meth:`apply` on
-        such an ``x`` up to rounding.  ``x`` and ``out`` are distinct
-        contiguous float64 sector vectors.
+        a run started in the sector stays there without projection.  Equal
+        to :meth:`apply` on such an ``x`` up to rounding.  ``x`` and ``out``
+        are distinct contiguous float64 sector vectors.
         """
         n = self._n[0]
         z = self._yt
@@ -422,7 +411,8 @@ def build_hamiltonian(chain: ChainSpec, basis: SectorBasis | None = None) -> _Se
     """The real-symmetric sector Hamiltonian of ``chain``, the input of :func:`ground_state`.
 
     It is the matrix-free :class:`_SectorOperator`; ``basis`` defaults to the
-    chain's ``(N_up, N_down)`` sector.
+    chain's ``(N_up, N_down)`` sector, and a basis of another sector or
+    length is refused with a ``ValueError``.
     """
     return _SectorOperator(chain, basis)
 
@@ -487,16 +477,20 @@ def _tridiagonal_lowest(alphas, betas):
     Makes the LAPACK calls of ``eigh_tridiagonal(alphas, betas, select="i",
     select_range=(0, 0))``, bisection (``stebz``) and inverse iteration
     (``stein``), with the same bits and without its argument handling.  Like
-    it, a non-finite entry raises ``ValueError``.  LAPACK's squares overflow
-    past about 1.3e154, so entries above ``2**500``, and only those, are first
-    scaled exactly by a power of two.
+    it, a non-finite entry raises ``ValueError``; the largest magnitudes,
+    which a NaN or an infinity turns non-finite, tell.  LAPACK's squares
+    overflow past about 1.3e154, so entries above ``2**500``, and only those,
+    are first scaled exactly by a power of two.
     """
-    d = np.asarray_chkfinite(alphas, dtype=np.float64)
-    e = np.asarray_chkfinite(betas, dtype=np.float64)
+    d = np.asarray(alphas, dtype=np.float64)
+    e = np.asarray(betas, dtype=np.float64)
+    top_d, top_e = np.abs(d).max(), np.abs(e).max(initial=0.0)
+    if not (math.isfinite(top_d) and math.isfinite(top_e)):
+        raise ValueError("array must not contain infs or NaNs")
     if len(d) == 1:
         return d[0], np.ones(1)
     scale = 1.0
-    largest = max(np.abs(d).max(), np.abs(e).max())
+    largest = max(top_d, top_e)
     if largest > 2.0**500:
         scale = 2.0 ** math.frexp(largest)[1]
         d, e = d / scale, e / scale
@@ -545,7 +539,9 @@ def _lanczos_lowest(apply, start: np.ndarray, tol: float, norm: float,
             if closed or beta * abs(s[-1]) < tol:
                 return float(theta), s, alphas[:step], betas[:step - 1]
         betas[step - 1] = beta
-        w *= 1.0 / beta
+        # in place with the bits of ``w *= 1.0 / beta``: numpy's per-call
+        # dispatch costs more than the scaling itself at L = 8
+        dscal(1.0 / beta, w)
         q_prev, q = q, w
     raise OrbentError(f"eigensolver did not converge in {LANCZOS_MAX_STEPS} Lanczos steps")
 
@@ -567,7 +563,7 @@ def _ritz_vector(apply, krylov: np.ndarray, s: np.ndarray, alphas, betas) -> np.
     for k in range(kept, len(s)):
         w = _three_term(apply(q, spare[k % 3]), q, q_prev, alphas[k - 1], beta)
         beta = betas[k - 1]
-        w *= 1.0 / beta
+        dscal(1.0 / beta, w)
         q_prev, q = q, w
         daxpy(q, x, a=s[k])
     return x
@@ -757,9 +753,7 @@ def total_spin_expectation(psi: np.ndarray, basis: SectorBasis) -> float:
 
     raised_norm_sq = 0.0
     if n_dn > 0 and n_up < length:
-        # built here, not by sector_basis, so the chain's cached basis stays
-        target = SectorBasis(length, _states_with_popcount(length, n_up + 1),
-                             _states_with_popcount(length, n_dn - 1))
+        target = sector_basis(length, n_up + 1, n_dn - 1)
         raised = np.zeros((len(target.up_states), len(target.dn_states)), dtype=complex)
         below = [(1 << site) - 1 for site in range(length)]
         for site in range(length):
@@ -804,7 +798,10 @@ def _species_reduction_data(states: np.ndarray, i: int, j: int):
     parity = parity + bit_j * crossings_j
     signs = 1.0 - 2.0 * (parity & 1)
     env = _remove_bits(states, (i, j))
-    _, env_rank = np.unique(env, return_inverse=True)
+    # the rank of each environment among the distinct ones, by a table over their values
+    present = np.zeros(int(env.max()) + 1, dtype=np.int64)
+    present[env] = 1
+    env_rank = (np.cumsum(present) - 1)[env]
     kept = 2 * bit_i + bit_j
     return kept, env_rank, signs
 
@@ -814,33 +811,34 @@ def _pair_tables(basis: SectorBasis, i: int, j: int):
 
     The reduction of any vector on ``basis`` scatters its signed amplitudes
     into a ``(16, n_env)`` array at the same places, so the tables are built
-    once per basis and pair and kept, read-only, on the basis.
+    once per basis and pair and kept on the basis.
     """
     tables = basis._pair_tables.get((i, j))
     if tables is not None:
         return tables
     n_up_total = int(np.bitwise_count(basis.up_states[0]))
-    ku, env_u, sign_u = _species_reduction_data(basis.up_states, i, j)
-    kd, env_d, sign_d = _species_reduction_data(basis.dn_states, i, j)
+    ku, env_u, sign_u = up = _species_reduction_data(basis.up_states, i, j)
+    kd, env_d, sign_d = (up if np.array_equal(basis.dn_states, basis.up_states)
+                         else _species_reduction_data(basis.dn_states, i, j))
 
-    # local state code from kept occupations: (0,0)->0, (1,0)->1, (0,1)->2, (1,1)->3
-    local = np.array([[0, 2], [1, 3]])
-    code_u, code_d = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
-    u_i, u_j = code_u >> 1, code_u & 1
-    d_i, d_j = code_d >> 1, code_d & 1
-    kept16 = 4 * local[u_i, d_i] + local[u_j, d_j]
+    # a species' kept code is 2 n_i + n_j; the local state is 4 (u_i + 2 d_i)
+    # + (u_j + 2 d_j) in fock's per-orbital order, the up part of which is
+    # 4 u_i + u_j and the down part twice that
+    code = np.arange(4)
+    up_local = 4 * (code >> 1) + (code & 1)
+    u_i, u_j = code[:, None] >> 1, code[:, None] & 1
+    d_i, d_j = code[None, :] >> 1, code[None, :] & 1
     # down kept operators cross the remaining up modes of the environment
     cross = 1.0 - 2.0 * ((d_i * (n_up_total - u_i) + d_j * (n_up_total - u_i - u_j)) % 2)
 
     # every factor is +-1, so one combined sign gives the bits of the product
-    signs = (sign_u[:, None] * sign_d[None, :] * cross[ku[:, None], kd[None, :]]).ravel()
-    rows = kept16[ku[:, None], kd[None, :]]
+    signs = (sign_u[:, None] * (cross[:, kd] * sign_d)[ku]).ravel()
     n_env_d = int(env_d.max()) + 1
     n_env = (int(env_u.max()) + 1) * n_env_d
-    cols = env_u[:, None] * n_env_d + env_d[None, :]
+    # row (local state) times n_env plus column (environment), summed per species;
     # each basis state is one (kept, environment) pair, so the scatter never collides
-    flat = (rows * n_env + cols).ravel()
-    _read_only(flat, signs)
+    flat = ((up_local[ku] * n_env + env_u * n_env_d)[:, None]
+            + (2 * up_local[kd] * n_env + env_d)[None, :]).ravel()
     tables = basis._pair_tables[(i, j)] = (flat, signs, n_env)
     return tables
 

@@ -1,7 +1,4 @@
-import contextlib
-import gc
 import hashlib
-import io
 import json
 import logging
 import math
@@ -10,7 +7,6 @@ import re
 import subprocess
 import sys
 import textwrap
-import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +14,7 @@ import numpy as np
 import pytest
 
 from orbent import entanglement as ent
-from orbent import cli, fock, free_fermion as ff, lattice, ssr
+from orbent import fock, free_fermion as ff, lattice, ssr
 from orbent.errors import DegenerateGroundStateError, OrbentError
 
 from conftest import dense_form, kronecker_hamiltonian
@@ -57,93 +53,6 @@ class TestSectorBasis:
         basis = lattice.sector_basis(4, 2, 1)
         with pytest.raises(KeyError):
             basis.index(0b1111, 0b0001)
-
-
-def _fingerprint(gs: lattice.GroundState) -> tuple:
-    """What a solve repeats bit for bit: its vector's hash, energy, gap, residual and products."""
-    return (hashlib.sha256(gs.amplitudes.tobytes()).hexdigest(), gs.energy.hex(),
-            gs.energy_gap.hex(), gs.residual.hex(), gs.degenerate, gs.matvecs)
-
-
-class TestGeometryCache:
-    """``sector_basis`` and the species hoppings are built once per geometry and shared."""
-
-    def test_repeated_calls_return_the_same_objects(self):
-        basis = lattice.sector_basis(6, 3, 3)
-        assert lattice.sector_basis(6, 3, 3) is basis
-        bonds = lattice.ChainSpec(6, 3, 3).bonds
-        assert lattice._species_hopping(6, 3, bonds) is lattice._species_hopping(6, 3, bonds)
-        # both species of a balanced sector, and operators at any t_hop, share one hopping
-        first = lattice._SectorOperator(lattice.ChainSpec(6, 3, 3, u=4.0))
-        second = lattice._SectorOperator(lattice.ChainSpec(6, 3, 3, t_hop=0.5))
-        assert first._up[0] is first._dn[0] is second._up[0]
-        assert first._up[2] is not second._up[2]
-
-    def test_shared_arrays_refuse_writes(self):
-        basis = lattice.sector_basis(6, 2, 4)
-        flat, signs, _ = lattice._pair_tables(basis, 1, 2)
-        shared = [basis.up_states, basis.dn_states, flat, signs,
-                  *lattice._species_hopping(6, 2, lattice.ChainSpec(6, 2, 4).bonds)]
-        for array in shared:
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = array[0]
-
-    def test_another_geometry_releases_the_basis_and_its_tables(self):
-        basis = lattice.sector_basis(4, 2, 2)
-        lattice.two_orbital_rdm(lattice.ground_state(lattice.build_hamiltonian(
-            lattice.ChainSpec(4, 2, 2, u=2.0))), basis, 0, 1)
-        flat, signs, _ = basis._pair_tables[(0, 1)]
-        refs = [weakref.ref(obj) for obj in (basis, basis.up_states, flat, signs)]
-        del basis, flat, signs
-        gc.collect()
-        assert all(ref() is not None for ref in refs)  # kept by the cache
-        lattice.sector_basis(6, 3, 3)
-        gc.collect()
-        assert all(ref() is None for ref in refs)
-
-    def test_the_raised_sector_keeps_the_chains_basis(self):
-        basis = lattice.sector_basis(6, 3, 3)
-        gs = lattice.ground_state(lattice.build_hamiltonian(lattice.ChainSpec(6, 3, 3, u=4.0)))
-        assert lattice.total_spin_expectation(gs.amplitudes, basis) <= 1e-8
-        assert lattice.sector_basis(6, 3, 3) is basis
-
-    def test_interleaved_geometries_solve_as_in_a_fresh_interpreter(self):
-        chains = {"L6": lattice.ChainSpec(6, 3, 3, u=4.0, v=1.0),
-                  "L8": lattice.ChainSpec(8, 4, 4, u=6.0, v=3.0),
-                  "L6-2": lattice.ChainSpec(6, 3, 2, u=3.0, v=0.5)}
-        env = dict(os.environ, PYTHONPATH=str(Path(lattice.__file__).resolve().parents[1]))
-        fresh = {}
-        for name, chain in chains.items():
-            probe = ("import hashlib, json\n"
-                     "from orbent.lattice import ChainSpec, build_hamiltonian, ground_state\n"
-                     f"gs = ground_state(build_hamiltonian({chain!r}))\n"
-                     "print(json.dumps([hashlib.sha256(gs.amplitudes.tobytes()).hexdigest(), "
-                     "gs.energy.hex(), gs.energy_gap.hex(), gs.residual.hex(), gs.degenerate, "
-                     "gs.matvecs]))")
-            proc = subprocess.run([sys.executable, "-W", "error", "-c", probe], env=env,
-                                  capture_output=True, text=True, timeout=120, check=True)
-            fresh[name] = tuple(json.loads(proc.stdout))
-        for name in ["L6", "L8", "L6", "L6-2", "L8", "L6-2", "L6"]:
-            chain = chains[name]
-            lattice.ground_state_rdm(chain, 0, 1)  # loads the geometry and a pair table
-            gs = lattice.ground_state(lattice.build_hamiltonian(chain))
-            assert _fingerprint(gs) == fresh[name]
-
-    def test_single_point_commands_print_the_scan_rows(self):
-        # the benchmark window as 11 commands in one process, around another
-        # geometry's command: the rows of the one-scan command, byte for byte
-        def command(*argv):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                assert cli.main(["ehm-scan", *argv]) == 0
-            return out.getvalue().splitlines()[2:]
-
-        window = [f"{2.5 + 0.1 * k:.1f}" for k in range(11)]
-        scan = command("--L", "8", "--U", "6", "--V", "2.5:3.5:11")
-        points = [command("--L", "8", "--U", "6", "--V", v) for v in window]
-        command("--L", "6", "--U", "4", "--V", "1")
-        again = [command("--L", "8", "--U", "6", "--V", v) for v in window]
-        assert points == again == [[row] for row in scan]
 
 
 class TestChainSpec:
@@ -817,6 +726,12 @@ class TestCompiledModules:
 class TestSectorOperator:
     """The matrix-free operator the ED commands solve through, against the Kronecker reference."""
 
+    @pytest.mark.parametrize("length, n_up, n_dn", [(6, 3, 3), (8, 3, 4), (8, 4, 3)])
+    def test_another_sectors_basis_is_refused(self, length, n_up, n_dn):
+        basis = lattice.sector_basis(length, n_up, n_dn)
+        with pytest.raises(ValueError, match=r"not the \(4, 4\) sector of the chain's 8 sites"):
+            lattice.build_hamiltonian(lattice.ChainSpec(8, 4, 4, u=6.0), basis)
+
     @pytest.mark.parametrize("chain", [
         lattice.ChainSpec(8, 4, 4, u=6.0, v=3.0),
         lattice.ChainSpec(8, 4, 4, t_hop=-0.5, u=2.0, v=3.0),
@@ -1124,7 +1039,6 @@ class TestTwoOrbitalRdm:
 
     @pytest.mark.parametrize("length, n_up, n_dn", [(6, 3, 3), (6, 2, 4), (8, 4, 4)])
     def test_kept_pair_tables_give_the_per_call_bits(self, length, n_up, n_dn):
-        lattice.sector_basis.cache_clear()  # a basis without tables kept by earlier tests
         basis = lattice.sector_basis(length, n_up, n_dn)
         chain = lattice.ChainSpec(length, n_up, n_dn, u=4.0, v=1.0)
         psi = lattice.ground_state(lattice.build_hamiltonian(chain, basis)).amplitudes
